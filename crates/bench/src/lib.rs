@@ -2,6 +2,7 @@
 //! benches: one function per table/figure of the paper, each returning the
 //! rendered text that regenerates it.
 
+use bband_cluster::CollectivePath;
 use bband_core::fault;
 use bband_core::latency::Category;
 use bband_core::tracepath;
@@ -610,9 +611,18 @@ fn rank_sweep_shape(scale: Scale) -> &'static [u32] {
 /// The rank sweep at a given scale: one pool task per (topology, ranks)
 /// cell, each running barrier/bcast/allreduce-rd/allreduce-ring on a
 /// fresh flow fabric. Cells share nothing, so pooled and `--serial` runs
-/// emit identical bytes.
+/// emit identical bytes. `repro --reference` (the reference engine path)
+/// also walks every collective message.
 fn rank_sweep(scale: Scale) -> Vec<bband_cluster::RankPoint> {
-    bband_cluster::sweep_ranks(rank_sweep_shape(scale), &WorkerPool::new())
+    let path = match fault::active_engine_path() {
+        fault::EnginePath::Fast => CollectivePath::Fast,
+        fault::EnginePath::Reference => CollectivePath::Reference,
+    };
+    rank_sweep_on(path, scale)
+}
+
+fn rank_sweep_on(path: CollectivePath, scale: Scale) -> Vec<bband_cluster::RankPoint> {
+    bband_cluster::sweep_ranks_on(path, rank_sweep_shape(scale), &WorkerPool::new())
 }
 
 fn rank_sweep_title(scale: Scale) -> String {
@@ -1382,8 +1392,9 @@ fn engine_bench_sizes(scale: Scale) -> (u64, u64, u64) {
 }
 
 /// The engine performance trajectory (`repro bench-engine`): wall-clock of
-/// the fast engine path against the reference path on the three sweep
-/// drivers (loss, what-if, metrics) plus ns-per-message on the
+/// the fast engine path against the reference path on four sweep drivers
+/// (loss, what-if, metrics, the cluster rank sweep), the rank sweep's
+/// telemetry overhead, and ns-per-message on the
 /// [`engine_hotpath_cases`] throughput cases. Every comparison carries an
 /// `identical` flag asserting the fast output is byte-identical to the
 /// reference output — a speedup that changes bytes is a bug, and the CI
@@ -1491,10 +1502,17 @@ pub fn bench_engine_json(scale: Scale) -> String {
             == to_json(&metrics_json("engine", &ref_set));
     sweeps.push(sweep_obj("metrics", ref_ms, fast_ms, identical));
 
-    // Sweep 4: the cluster rank sweep — telemetry-on (reference) vs
-    // telemetry-off (fast). Results must be identical (observation never
-    // perturbs the simulation) and the recording overhead bounded; the
-    // CI bench-smoke step asserts `overhead_ok`. Timing is min-of-3 per
+    // Sweep 4: the cluster rank sweep — the fast path (isolated-pair
+    // replay of the ring, every other collective walked) against the
+    // reference path (every message walked). The points must be
+    // identical.
+    //
+    // Sweep 5: the telemetry overhead on the same sweep — telemetry-on
+    // against the telemetry-off reference run (telemetry always walks
+    // every message, so the fast path would not be a like-for-like
+    // baseline). Results must be identical (observation never perturbs
+    // the simulation) and the recording overhead bounded; the CI
+    // bench-smoke step asserts `overhead_ok`. Timing is min-of-3 per
     // side (single smoke sweeps run ~35 ms, where scheduler noise alone
     // swings a one-shot ratio by ±15 points). The bound is 25% at smoke
     // scale: measured overhead sits near 15% there — the fabric
@@ -1505,36 +1523,40 @@ pub fn bench_engine_json(scale: Scale) -> String {
     // per-port HotPort array outgrows L2, so the per-hop touch becomes
     // a genuine cache miss (~30% measured). The asserts are regression
     // guards, not vanity numbers.
-    let _warmup = rank_sweep(scale); // warm allocator/caches off the clock
-    let (mut tel_ms, mut plain_ms) = (f64::MAX, f64::MAX);
-    let mut tel_cells = Vec::new();
-    let mut plain = Vec::new();
+    let _warmup = rank_sweep_on(CollectivePath::Reference, scale); // warm allocator/caches
+    let (mut ref_ms, mut fast_ms, mut tel_ms) = (f64::MAX, f64::MAX, f64::MAX);
+    let (mut reference, mut fast, mut tel_cells) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..3 {
         let t0 = Instant::now();
-        plain = rank_sweep(scale);
-        plain_ms = plain_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        reference = rank_sweep_on(CollectivePath::Reference, scale);
+        ref_ms = ref_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let t0 = Instant::now();
+        fast = rank_sweep_on(CollectivePath::Fast, scale);
+        fast_ms = fast_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
         tel_cells = rank_sweep_telemetry(scale);
         tel_ms = tel_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
+    sweeps.push(sweep_obj("sweep-ranks", ref_ms, fast_ms, fast == reference));
     let tel_points: Vec<bband_cluster::RankPoint> =
         tel_cells.iter().map(|c| c.point.clone()).collect();
-    let overhead = if plain_ms > 0.0 {
-        tel_ms / plain_ms - 1.0
+    let overhead = if ref_ms > 0.0 {
+        tel_ms / ref_ms - 1.0
     } else {
         0.0
-    };
-    let mut ranks_obj = match sweep_obj("sweep-ranks", tel_ms, plain_ms, tel_points == plain) {
-        Value::Obj(fields) => fields,
-        _ => unreachable!("sweep_obj returns an object"),
     };
     let overhead_bound = match scale {
         Scale::Smoke | Scale::Quick => 0.25,
         Scale::Full => 0.40,
     };
-    ranks_obj.push(("overhead_frac".into(), Value::Float(overhead)));
-    ranks_obj.push(("overhead_ok".into(), Value::Bool(overhead < overhead_bound)));
-    sweeps.push(Value::Obj(ranks_obj));
+    sweeps.push(Value::Obj(vec![
+        ("name".into(), Value::Str("sweep-ranks-telemetry".into())),
+        ("telemetry_off_ms".into(), Value::Float(ref_ms)),
+        ("telemetry_on_ms".into(), Value::Float(tel_ms)),
+        ("overhead_frac".into(), Value::Float(overhead)),
+        ("identical".into(), Value::Bool(tel_points == reference)),
+        ("overhead_ok".into(), Value::Bool(overhead < overhead_bound)),
+    ]));
 
     // Hotpath throughput: single-run ns-per-message on each case.
     let hotpath = engine_hotpath_cases()
@@ -1926,7 +1948,13 @@ mod tests {
         let json = bench_engine_json(Scale::Smoke);
         assert!(json.contains("bband/bench-engine/v1"), "{json}");
         assert!(json.contains("\"smoke\""), "{json}");
-        for sweep in ["loss", "whatif", "metrics"] {
+        for sweep in [
+            "loss",
+            "whatif",
+            "metrics",
+            "sweep-ranks",
+            "sweep-ranks-telemetry",
+        ] {
             assert!(json.contains(&format!("\"{sweep}\"")), "{json}");
         }
         for case in ["fault_free", "loss_1e-3", "markov_stall"] {

@@ -16,8 +16,12 @@
 //! a pure function of the schedule. Pooled and serial sweeps are
 //! byte-identical.
 
-use crate::flow::ClusterFabric;
+use crate::flow::{ClusterFabric, Delivery, ResolvedHop, MAX_ROUTE_HOPS};
+use bband_fabric::segmented_wire_bytes;
+use bband_metrics as metrics;
 use bband_sim::{SimDuration, SimTime};
+use bband_trace as trace;
+use std::cell::RefCell;
 
 /// Collective operation to run at flow level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +93,54 @@ pub struct FlowReport {
     pub bisection_bytes: u64,
 }
 
-/// Ranks `0..n` run `coll`; returns the completion report. The fabric's
-/// transient state is reset first so repeated runs are independent.
+/// Which driver loop runs a collective. Both give identical reports,
+/// fabric state, counters and metrics; the fast path skips the fabric
+/// walks whose outcome is already certain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CollectivePath {
+    /// Isolated-pair replay on round-invariant schedules (the default).
+    Fast,
+    /// Walk every message: the `repro --reference` escape hatch and the
+    /// equivalence tests' baseline.
+    Reference,
+}
+
+/// Ranks `0..n` run `coll` on the fast path; returns the completion
+/// report. The fabric's transient state is reset first so repeated runs
+/// are independent.
 pub fn run_flow_collective(
+    fab: &mut ClusterFabric,
+    n: u32,
+    coll: FlowCollective,
+    costs: EndpointCosts,
+) -> FlowReport {
+    run_flow_collective_on(CollectivePath::Fast, fab, n, coll, costs)
+}
+
+/// [`run_flow_collective`] on an explicit driver path.
+///
+/// **Isolated-pair replay.** A round-invariant schedule (the ring: every
+/// round sends the same `(src, dst, chunk)` set) walks each pair's fixed
+/// route once per round. A pair is *isolated* when no other pair's route
+/// uses any of its egress ports or input buffers; its walks then interact
+/// only with its own earlier walks. A message of an isolated pair is
+/// *certified* when its walk is certain to be clean: the pair's previous
+/// message was clean and has left every egress, and the pair's
+/// reservations still live on the route's input buffers (those departed
+/// less than the route's clearance earlier) leave room for one more
+/// below the credit and ECN limits. A certified message delivers after
+/// the pair's clean latency and is not walked. The pair's last few
+/// certified messages stay unwalked and are walked for real when the pair
+/// next fails certification, and at the end of the run; those walks are
+/// clean and leave exactly the port state the full loop leaves. Skipped
+/// walks' samples are added in bulk at the end.
+///
+/// Every run takes the full loop (every message walked, in global
+/// `(depart, src, dst)` order) on [`CollectivePath::Reference`], with
+/// telemetry on, inside a trace collector or a windowed metrics scope,
+/// and on schedules that change from round to round.
+pub fn run_flow_collective_on(
+    path: CollectivePath,
     fab: &mut ClusterFabric,
     n: u32,
     coll: FlowCollective,
@@ -100,107 +149,466 @@ pub fn run_flow_collective(
     assert!(n >= 2, "collectives need at least two ranks");
     assert!(n <= fab.graph.hosts, "topology too small for {n} ranks");
     fab.reset_transients();
+    SCRATCH.with(|s| s.borrow_mut().run(path, fab, n, coll, costs))
+}
 
-    let mut clock = vec![SimTime::ZERO; n as usize];
-    let mut rounds = 0u32;
-    let mut messages = 0u64;
-    let mut bisection_bytes = 0u64;
-    let half = n / 2;
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
 
-    let mut r = 0u32;
-    loop {
-        let xfers = round_schedule(n, coll, r);
-        if xfers.is_empty() {
-            break;
+/// The driver's buffers, kept per thread so repeated runs reuse them.
+#[derive(Default)]
+struct Scratch {
+    clock: Vec<SimTime>,
+    /// The current round's transfers (built once on round-invariant
+    /// schedules).
+    xfers: Vec<Xfer>,
+    /// This round's messages still to walk: departure, transfer, index
+    /// into `xfers`.
+    pending: Vec<(SimTime, Xfer, u32)>,
+    recv_at: Vec<SimTime>,
+    sent_by: Vec<SimTime>,
+    replay: PairReplay,
+}
+
+impl Scratch {
+    fn run(
+        &mut self,
+        path: CollectivePath,
+        fab: &mut ClusterFabric,
+        n: u32,
+        coll: FlowCollective,
+        costs: EndpointCosts,
+    ) -> FlowReport {
+        let Scratch {
+            clock,
+            xfers,
+            pending,
+            recv_at,
+            sent_by,
+            replay,
+        } = self;
+        for v in [&mut *clock, &mut *recv_at, &mut *sent_by] {
+            v.clear();
+            v.resize(n as usize, SimTime::ZERO);
         }
-        rounds += 1;
-        // Inject in rank order, then walk the fabric in global departure
-        // order — the deterministic arbitration order.
-        let mut pending: Vec<(SimTime, Xfer)> = xfers
-            .iter()
-            .map(|&x| {
+        let invariant = coll.round_invariant();
+        let replaying = path == CollectivePath::Fast
+            && invariant
+            && fab.telemetry().is_none()
+            && !trace::enabled()
+            && !metrics::windowed();
+        if invariant {
+            round_schedule_into(n, coll, 0, xfers);
+        }
+        if replaying {
+            replay.prepare(fab, xfers);
+        }
+
+        let rounds = round_count(n, coll);
+        let mut messages = 0u64;
+        let mut bisection_bytes = 0u64;
+        let half = n / 2;
+        let crosses = |x: Xfer| (x.src < half) != (x.dst < half);
+        for r in 0..rounds {
+            if !invariant {
+                round_schedule_into(n, coll, r, xfers);
+            }
+            debug_assert!(!xfers.is_empty(), "round {r} of {} is empty", coll.name());
+            recv_at.fill(SimTime::ZERO);
+            sent_by.fill(SimTime::ZERO);
+            pending.clear();
+            // Inject in rank order; certified messages settle at once,
+            // the rest walk the fabric in global departure order — the
+            // deterministic arbitration order.
+            for (i, &x) in xfers.iter().enumerate() {
                 let ready = clock[x.src as usize] + costs.send_overhead;
-                (fab.inject(x.src, ready, x.bytes), x)
-            })
-            .collect();
-        pending.sort_by_key(|&(depart, x)| (depart, x.src, x.dst));
-
-        let mut recv_at = vec![SimTime::ZERO; n as usize];
-        let mut sent_by = vec![SimTime::ZERO; n as usize];
-        for &(depart, x) in &pending {
-            let d = fab.send(depart, x.src, x.dst, x.bytes);
-            messages += 1;
-            if (x.src < half) != (x.dst < half) {
-                bisection_bytes += d.wire_bytes;
+                let depart = fab.inject(x.src, ready, x.bytes);
+                if replaying {
+                    if let Some((deliver_at, wire_bytes)) = replay.certify(fab, i, depart) {
+                        messages += 1;
+                        if crosses(x) {
+                            bisection_bytes += wire_bytes;
+                        }
+                        settle(
+                            sent_by,
+                            recv_at,
+                            x,
+                            depart,
+                            deliver_at + costs.recv_overhead,
+                        );
+                        continue;
+                    }
+                }
+                pending.push((depart, x, i as u32));
             }
-            if d.ecn_marked {
-                fab.apply_ecn_backoff(x.src);
+            pending.sort_by_key(|&(depart, x, _)| (depart, x.src, x.dst));
+            for &(depart, x, i) in pending.iter() {
+                let d = if replaying {
+                    replay.walk(fab, i as usize, depart)
+                } else {
+                    fab.send(depart, x.src, x.dst, x.bytes)
+                };
+                messages += 1;
+                if crosses(x) {
+                    bisection_bytes += d.wire_bytes;
+                }
+                if d.ecn_marked {
+                    fab.apply_ecn_backoff(x.src);
+                }
+                settle(
+                    sent_by,
+                    recv_at,
+                    x,
+                    depart,
+                    d.deliver_at + costs.recv_overhead,
+                );
             }
-            sent_by[x.src as usize] = sent_by[x.src as usize].max_of(depart);
-            let done = d.deliver_at + costs.recv_overhead;
-            recv_at[x.dst as usize] = recv_at[x.dst as usize].max_of(done);
+            for ((c, &sent), &recv) in clock.iter_mut().zip(sent_by.iter()).zip(recv_at.iter()) {
+                *c = c.max_of(sent).max_of(recv);
+            }
         }
-        for i in 0..n as usize {
-            clock[i] = clock[i].max_of(sent_by[i]).max_of(recv_at[i]);
+        if replaying {
+            replay.finish(fab);
         }
-        r += 1;
-    }
 
-    let completion = clock
-        .iter()
-        .fold(SimTime::ZERO, |acc, &t| acc.max_of(t))
-        .since(SimTime::ZERO);
-    FlowReport {
-        completion,
-        rounds,
-        messages,
-        bisection_bytes,
+        let completion = clock
+            .iter()
+            .fold(SimTime::ZERO, |acc, &t| acc.max_of(t))
+            .since(SimTime::ZERO);
+        FlowReport {
+            completion,
+            rounds,
+            messages,
+            bisection_bytes,
+        }
     }
 }
 
-/// The transfers of round `r`, empty once the schedule is exhausted.
-fn round_schedule(n: u32, coll: FlowCollective, r: u32) -> Vec<Xfer> {
+/// Book one message: its sender is busy until it departs, its receiver
+/// until it is delivered and handed off at `done`.
+#[inline]
+fn settle(
+    sent_by: &mut [SimTime],
+    recv_at: &mut [SimTime],
+    x: Xfer,
+    depart: SimTime,
+    done: SimTime,
+) {
+    sent_by[x.src as usize] = sent_by[x.src as usize].max_of(depart);
+    recv_at[x.dst as usize] = recv_at[x.dst as usize].max_of(done);
+}
+
+/// Per-pair replay state of a round-invariant schedule, indexed like
+/// the schedule.
+#[derive(Default)]
+struct PairReplay {
+    pairs: Vec<Pair>,
+    /// Every pair's resolved route, back to back.
+    hops: Vec<ResolvedHop>,
+    /// Routes using each global port as egress / as input buffer
+    /// (saturating: only "exactly one" matters).
+    egress_uses: Vec<u8>,
+    buffer_uses: Vec<u8>,
+    /// Messages certified this run (walked later or never).
+    certified: u64,
+}
+
+/// Departures of a pair's latest clean messages the replay tracks (a
+/// power of two: `recent` is a ring).
+const WINDOW: usize = 4;
+
+struct Pair {
+    first_hop: u32,
+    hop_count: u32,
+    bytes: u32,
+    /// Isolated, with a clean walk possible: the only pairs certified.
+    replayable: bool,
+    /// Departure gap after which a clean message's reservations have
+    /// expired (`ClusterFabric::clearance`).
+    clearance: SimDuration,
+    /// Egress serialization: the least gap after a clean message at which
+    /// every egress on the route is idle again.
+    egress_gap: SimDuration,
+    /// Live reservations an input buffer on the route holds before the
+    /// next walk would wait for credit or be ECN-marked.
+    room: u32,
+    /// Latency of the pair's clean walk.
+    latency: SimDuration,
+    wire_bytes: u64,
+    /// Ring of the departures of the pair's trailing run of clean
+    /// messages (walked or certified), oldest at `head`; the newest is
+    /// the pair's last message.
+    recent: [SimTime; WINDOW],
+    head: u8,
+    len: u8,
+    /// The newest `unwalked` entries of `recent` are certified messages
+    /// not walked yet.
+    unwalked: u8,
+    /// Some earlier message of the pair is not in `recent`; its
+    /// reservations are known to have expired only once the oldest in
+    /// `recent` has (reservations free in departure order).
+    untracked: bool,
+    /// Certified messages dropped from `recent` without a walk.
+    skipped: u64,
+}
+
+impl Pair {
+    fn route<'a>(&self, hops: &'a [ResolvedHop]) -> &'a [ResolvedHop] {
+        &hops[self.first_hop as usize..(self.first_hop + self.hop_count) as usize]
+    }
+
+    /// The `k`-th newest entry of `recent` (`k < len`).
+    #[inline]
+    fn newest(&self, k: usize) -> SimTime {
+        self.recent[(self.head as usize + self.len as usize - 1 - k) % WINDOW]
+    }
+
+    /// Append a clean message's departure, dropping the oldest entry
+    /// when the window is full.
+    #[inline]
+    fn push_clean(&mut self, depart: SimTime) {
+        if self.len as usize == WINDOW {
+            if self.unwalked as usize == WINDOW {
+                self.unwalked -= 1;
+                self.skipped += 1;
+            }
+            self.head = ((self.head as usize + 1) % WINDOW) as u8;
+            self.len -= 1;
+            self.untracked = true;
+        }
+        self.recent[(self.head as usize + self.len as usize) % WINDOW] = depart;
+        self.len += 1;
+    }
+
+    /// Certify the message departing at `depart` and track it as
+    /// unwalked, or return false when its walk is not certain to be
+    /// clean. It is certain when the pair's last message was clean and
+    /// has left every egress (`egress_gap`), every earlier message not
+    /// tracked in `recent` has expired, and the reservations still live
+    /// on each input buffer leave room for one more.
+    #[inline]
+    fn certify(&mut self, depart: SimTime) -> bool {
+        if !self.replayable || self.len == 0 {
+            return false;
+        }
+        let last = self.newest(0);
+        if depart >= last + self.clearance {
+            // Every reservation of the pair has expired (they free in
+            // departure order), so the unwalked messages are not needed
+            // to rebuild the port state: restart the window with the
+            // (expired) last message and this one.
+            self.skipped += u64::from(self.unwalked);
+            self.untracked |= self.len > 1;
+            self.recent[0] = last;
+            self.recent[1] = depart;
+            self.head = 0;
+            self.len = 2;
+            self.unwalked = 1;
+            return true;
+        }
+        if depart < last + self.egress_gap {
+            return false;
+        }
+        // The live reservations are the newest entries; the newest one
+        // is live (checked above).
+        let len = self.len as usize;
+        let mut live = 1;
+        while live < len && depart < self.newest(live) + self.clearance {
+            live += 1;
+        }
+        if live as u32 >= self.room || (live == len && (self.untracked || len == WINDOW)) {
+            return false;
+        }
+        self.push_clean(depart);
+        self.unwalked += 1;
+        true
+    }
+}
+
+impl PairReplay {
+    /// Resolve every pair's route once and mark the isolated ones.
+    fn prepare(&mut self, fab: &mut ClusterFabric, xfers: &[Xfer]) {
+        let ports = fab.graph.total_ports as usize;
+        for uses in [&mut self.egress_uses, &mut self.buffer_uses] {
+            uses.clear();
+            uses.resize(ports, 0);
+        }
+        self.pairs.clear();
+        self.hops.clear();
+        self.certified = 0;
+        let mut buf = [ResolvedHop::default(); MAX_ROUTE_HOPS];
+        for x in xfers {
+            let len = fab.resolve(x.src, x.dst, &mut buf);
+            for hop in &buf[..len] {
+                let e = &mut self.egress_uses[hop.egress as usize];
+                *e = e.saturating_add(1);
+                if let Some(b) = hop.buffer {
+                    let b = &mut self.buffer_uses[b as usize];
+                    *b = b.saturating_add(1);
+                }
+            }
+            let wire_bytes = segmented_wire_bytes(x.bytes, fab.cfg.mtu);
+            self.pairs.push(Pair {
+                first_hop: self.hops.len() as u32,
+                hop_count: len as u32,
+                bytes: x.bytes,
+                replayable: false,
+                clearance: SimDuration::ZERO,
+                egress_gap: fab.cfg.switch_per_byte * wire_bytes,
+                room: if len > 1 {
+                    fab.reservation_room(x.bytes).min(u32::MAX as u64) as u32
+                } else {
+                    u32::MAX
+                },
+                latency: SimDuration::ZERO,
+                wire_bytes,
+                recent: [SimTime::ZERO; WINDOW],
+                head: 0,
+                len: 0,
+                unwalked: 0,
+                untracked: false,
+                skipped: 0,
+            });
+            self.hops.extend_from_slice(&buf[..len]);
+        }
+        for p in &mut self.pairs {
+            let isolated = p.route(&self.hops).iter().all(|h| {
+                self.egress_uses[h.egress as usize] == 1
+                    && h.buffer.is_none_or(|b| self.buffer_uses[b as usize] == 1)
+            });
+            if let Some(w) = fab.clearance(p.bytes, p.hop_count).filter(|_| isolated) {
+                p.replayable = true;
+                p.clearance = w;
+            }
+        }
+    }
+
+    /// Certify pair `i`'s message departing at `depart`: its delivery
+    /// instant and wire bytes, or `None` when it must be walked. A pair
+    /// that fails certification has its unwalked messages walked first.
+    #[inline]
+    fn certify(
+        &mut self,
+        fab: &mut ClusterFabric,
+        i: usize,
+        depart: SimTime,
+    ) -> Option<(SimTime, u64)> {
+        let p = &mut self.pairs[i];
+        if !p.certify(depart) {
+            if p.unwalked > 0 {
+                self.walk_unwalked(fab, i);
+            }
+            return None;
+        }
+        self.certified += 1;
+        Some((depart + p.latency, p.wire_bytes))
+    }
+
+    /// Walk pair `i`'s message for real.
+    fn walk(&mut self, fab: &mut ClusterFabric, i: usize, depart: SimTime) -> Delivery {
+        let p = &mut self.pairs[i];
+        let d = fab.walk(depart, p.bytes, p.route(&self.hops));
+        if p.replayable {
+            debug_assert_eq!(p.unwalked, 0, "certified messages left unwalked");
+            if d.queued.is_zero() && d.credit_waited.is_zero() && !d.ecn_marked {
+                p.latency = d.deliver_at.since(depart);
+                p.push_clean(depart);
+            } else {
+                p.len = 0;
+                p.untracked = true;
+            }
+        }
+        d
+    }
+
+    /// Walk pair `i`'s certified messages not walked yet, oldest first.
+    /// Their ports are the pair's own and hold a subset of the
+    /// reservations the full loop would hold, so each walk is clean and
+    /// lands where it was certified to; the last one leaves the ports
+    /// exactly as the full loop leaves them.
+    fn walk_unwalked(&mut self, fab: &mut ClusterFabric, i: usize) {
+        let p = &mut self.pairs[i];
+        let route = p.route(&self.hops);
+        for k in (0..p.unwalked as usize).rev() {
+            let depart = p.newest(k);
+            let d = fab.walk(depart, p.bytes, route);
+            assert_eq!(
+                d.deliver_at,
+                depart + p.latency,
+                "certified message walked unclean: {d:?}"
+            );
+            debug_assert!(d.queued.is_zero() && d.credit_waited.is_zero() && !d.ecn_marked);
+        }
+        p.unwalked = 0;
+    }
+
+    /// End of run: walk every unwalked message and add the skipped
+    /// walks' counts and samples.
+    fn finish(&mut self, fab: &mut ClusterFabric) {
+        for i in 0..self.pairs.len() {
+            self.walk_unwalked(fab, i);
+            let p = &self.pairs[i];
+            if p.skipped > 0 {
+                fab.account_clean_walks(p.bytes, p.hop_count, p.latency, p.skipped);
+            }
+        }
+    }
+}
+
+impl FlowCollective {
+    /// Whether every round sends the same transfer set (only the ring).
+    fn round_invariant(&self) -> bool {
+        matches!(self, FlowCollective::AllreduceRing { .. })
+    }
+}
+
+/// Rounds `coll` takes on `n` ranks.
+fn round_count(n: u32, coll: FlowCollective) -> u32 {
+    let log2_ceil = n.next_power_of_two().trailing_zeros();
+    match coll {
+        FlowCollective::Barrier | FlowCollective::Bcast { .. } => log2_ceil,
+        FlowCollective::AllreduceRd { .. } => {
+            if n.is_power_of_two() {
+                log2_ceil
+            } else {
+                // Fold, the core rounds of the largest power of two
+                // below n, redistribute.
+                (log2_ceil - 1) + 2
+            }
+        }
+        FlowCollective::AllreduceRing { .. } => 2 * (n - 1),
+    }
+}
+
+/// Fill `out` with the transfers of round `r < round_count(n, coll)`.
+fn round_schedule_into(n: u32, coll: FlowCollective, r: u32, out: &mut Vec<Xfer>) {
+    out.clear();
     match coll {
         FlowCollective::Barrier => {
-            if 1u64 << r >= n as u64 {
-                return Vec::new();
-            }
             let dist = 1u32 << r;
-            (0..n)
-                .map(|i| Xfer {
-                    src: i,
-                    dst: (i + dist) % n,
-                    bytes: 8,
-                })
-                .collect()
+            out.extend((0..n).map(|i| Xfer {
+                src: i,
+                dst: (i + dist) % n,
+                bytes: 8,
+            }));
         }
         FlowCollective::Bcast { bytes } => {
-            if 1u64 << r >= n as u64 {
-                return Vec::new();
-            }
             let dist = 1u32 << r;
-            (0..n)
-                .filter(|&i| i < dist && i + dist < n)
-                .map(|i| Xfer {
-                    src: i,
-                    dst: i + dist,
-                    bytes,
-                })
-                .collect()
+            out.extend((0..n).filter(|&i| i < dist && i + dist < n).map(|i| Xfer {
+                src: i,
+                dst: i + dist,
+                bytes,
+            }));
         }
-        FlowCollective::AllreduceRd { bytes } => allreduce_rd_round(n, bytes, r),
+        FlowCollective::AllreduceRd { bytes } => allreduce_rd_round(n, bytes, r, out),
         FlowCollective::AllreduceRing { bytes } => {
-            if r >= 2 * (n - 1) {
-                return Vec::new();
-            }
             let chunk = (bytes as u64).div_ceil(n as u64).max(1) as u32;
-            (0..n)
-                .map(|i| Xfer {
-                    src: i,
-                    dst: (i + 1) % n,
-                    bytes: chunk,
-                })
-                .collect()
+            out.extend((0..n).map(|i| Xfer {
+                src: i,
+                dst: (i + 1) % n,
+                bytes: chunk,
+            }));
         }
     }
 }
@@ -209,7 +617,7 @@ fn round_schedule(n: u32, coll: FlowCollective, r: u32) -> Vec<Xfer> {
 /// `bband_mpi::run_collective`: a pre-round folds the `n - pow` excess
 /// ranks onto even partners, `log2(pow)` core rounds exchange among the
 /// power-of-two survivors, and a post-round redistributes the result.
-fn allreduce_rd_round(n: u32, bytes: u32, r: u32) -> Vec<Xfer> {
+fn allreduce_rd_round(n: u32, bytes: u32, r: u32, out: &mut Vec<Xfer>) {
     let pow = if n.is_power_of_two() {
         n
     } else {
@@ -218,30 +626,24 @@ fn allreduce_rd_round(n: u32, bytes: u32, r: u32) -> Vec<Xfer> {
     let rem = n - pow;
     let pre = u32::from(rem > 0);
     let core = pow.trailing_zeros();
-    if r >= core + 2 * pre {
-        return Vec::new();
-    }
+    debug_assert!(r < core + 2 * pre);
     if pre == 1 && r == 0 {
         // Fold: each odd rank below 2*rem contributes to its even peer.
-        return (0..n)
-            .filter(|i| i % 2 == 1 && *i < 2 * rem)
-            .map(|i| Xfer {
-                src: i,
-                dst: i - 1,
-                bytes,
-            })
-            .collect();
+        out.extend((0..n).filter(|i| i % 2 == 1 && *i < 2 * rem).map(|i| Xfer {
+            src: i,
+            dst: i - 1,
+            bytes,
+        }));
+        return;
     }
     if pre == 1 && r == core + 1 {
         // Redistribute the reduced result back to the folded ranks.
-        return (0..n)
-            .filter(|i| i % 2 == 0 && *i < 2 * rem)
-            .map(|i| Xfer {
-                src: i,
-                dst: i + 1,
-                bytes,
-            })
-            .collect();
+        out.extend((0..n).filter(|i| i % 2 == 0 && *i < 2 * rem).map(|i| Xfer {
+            src: i,
+            dst: i + 1,
+            bytes,
+        }));
+        return;
     }
     let rr = r - pre;
     let vrank = |i: u32| -> Option<u32> {
@@ -262,22 +664,21 @@ fn allreduce_rd_round(n: u32, bytes: u32, r: u32) -> Vec<Xfer> {
             v + rem
         }
     };
-    (0..n)
-        .filter_map(|i| {
-            let v = vrank(i)?;
-            let peer = unvrank(v ^ (1 << rr));
-            Some(Xfer {
-                src: i,
-                dst: peer,
-                bytes,
-            })
+    out.extend((0..n).filter_map(|i| {
+        let v = vrank(i)?;
+        let peer = unvrank(v ^ (1 << rr));
+        Some(Xfer {
+            src: i,
+            dst: peer,
+            bytes,
         })
-        .collect()
+    }));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::{FlowConfig, Forwarding};
     use crate::topo::FabricGraph;
 
     fn fab(hosts_pow: u32) -> ClusterFabric {
@@ -356,6 +757,117 @@ mod tests {
         let ring8 =
             run_flow_collective(&mut f, n, FlowCollective::AllreduceRing { bytes: 8 }, costs);
         assert!(rd8.completion < ring8.completion);
+    }
+
+    /// The fast path must actually fire: on the 512-rank fat tree every
+    /// ring pair is isolated, so all but each pair's first message and
+    /// its trailing unwalked window are certified. Guards against a
+    /// replay that silently never certifies (it would still be exact).
+    #[test]
+    fn ring_on_a_quiet_fat_tree_certifies_nearly_every_message() {
+        let costs = EndpointCosts::paper_default();
+        let mut f = ClusterFabric::paper_default(crate::fat_tree_for(512));
+        let coll = FlowCollective::AllreduceRing { bytes: 4096 };
+        let fast = run_flow_collective(&mut f, 512, coll, costs);
+        let certified = SCRATCH.with(|s| s.borrow().replay.certified);
+        assert!(
+            certified * 10 >= fast.messages * 9,
+            "{certified} of {} certified",
+            fast.messages
+        );
+        let fast_counters = f.counters;
+        let reference = run_flow_collective_on(CollectivePath::Reference, &mut f, 512, coll, costs);
+        assert_eq!(fast, reference);
+        assert_eq!(fast_counters, f.counters);
+    }
+
+    /// Drive one pair's replay directly with arbitrary departure gaps
+    /// — including gaps inside the clearance and below the egress
+    /// serialization — against a fabric that walks every message.
+    fn replay_one_pair(cfg: FlowConfig, graph: FabricGraph, x: Xfer, gaps: &[u64]) {
+        let mut reference = ClusterFabric::new(graph, cfg);
+        let mut fast = reference.clean_clone();
+        let mut replay = PairReplay::default();
+        replay.prepare(&mut fast, &[x]);
+        let mut depart = SimTime::ZERO;
+        let (expected, want) = metrics::collect(|| {
+            let mut t = SimTime::ZERO;
+            gaps.iter()
+                .map(|&gap| {
+                    t += SimDuration::from_ps(gap);
+                    reference.send(t, x.src, x.dst, x.bytes).deliver_at
+                })
+                .collect::<Vec<_>>()
+        });
+        let (got, have) = metrics::collect(|| {
+            let got: Vec<SimTime> = gaps
+                .iter()
+                .map(|&gap| {
+                    depart += SimDuration::from_ps(gap);
+                    match replay.certify(&mut fast, 0, depart) {
+                        Some((at, _)) => at,
+                        None => replay.walk(&mut fast, 0, depart).deliver_at,
+                    }
+                })
+                .collect();
+            replay.finish(&mut fast);
+            got
+        });
+        assert_eq!(got, expected, "{x:?} gaps {gaps:?}");
+        assert_eq!(fast.counters, reference.counters);
+        assert_eq!(
+            metrics::MetricsSet::from_task(have),
+            metrics::MetricsSet::from_task(want)
+        );
+        for g in 0..fast.graph.total_ports as usize {
+            assert_eq!(
+                fast.egress_occupancy(g, SimTime::ZERO),
+                reference.egress_occupancy(g, SimTime::ZERO)
+            );
+            assert_eq!(
+                fast.input_buffer_occupancy(g),
+                reference.input_buffer_occupancy(g)
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn pair_replay_matches_walking_every_message(
+            radix in 2u32..5,
+            levels in 1u32..4,
+            ends in 0u32..u32::MAX,
+            octave in 0u32..14,
+            buffer_draw in 0u32..6,
+            ecn_draw in 0u32..8,
+            store_and_forward in 0u32..2,
+            gap_scale in 0u32..4,
+            gap_draws in proptest::collection::vec(0u32..u32::MAX, 4..64),
+        ) {
+            let graph = FabricGraph::fat_tree(radix, levels);
+            let src = ends % graph.hosts;
+            let dst = (src + 1 + (ends / graph.hosts) % (graph.hosts - 1)) % graph.hosts;
+            let bytes = 8u32 << octave;
+            let mut cfg = FlowConfig::paper_default();
+            let seg = segmented_wire_bytes(bytes, cfg.mtu);
+            // From no room at all to room for a handful of reservations.
+            cfg.input_buffer_bytes = match buffer_draw {
+                0 => 64 << 10,
+                k => seg * u64::from(k) + u64::from(ends % 7),
+            };
+            cfg.ecn_threshold = 0.4 + 0.1 * f64::from(ecn_draw);
+            if store_and_forward == 1 {
+                cfg.forwarding = Forwarding::StoreAndForward;
+            }
+            // Gaps around the clearance: at scale 0 mostly below the
+            // egress serialization, at 3 mostly past every port.
+            let ser = (cfg.switch_per_byte * seg).as_ps();
+            let clearance = 2 * ser + 316_000;
+            let span = (clearance >> (3 - gap_scale)) + ser;
+            let gaps: Vec<u64> = gap_draws.iter().map(|&g| u64::from(g) % span).collect();
+            replay_one_pair(cfg, graph, Xfer { src, dst, bytes }, &gaps);
+        }
     }
 
     #[test]

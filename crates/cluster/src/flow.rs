@@ -119,6 +119,21 @@ pub struct Delivery {
     pub credit_waited: SimDuration,
 }
 
+/// Longest route [`ClusterFabric::send`] resolves on the stack. A k-ary
+/// n-tree route has at most `2n − 1` hops, and `n ≤ 31` for any radix
+/// whose host count fits a `u32`; dragonfly routes have at most six.
+pub(crate) const MAX_ROUTE_HOPS: usize = 64;
+
+/// One route hop resolved to global port ids.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ResolvedHop {
+    /// The egress port the message leaves the switch through.
+    pub(crate) egress: u32,
+    /// The input buffer that egress feeds at the next switch; `None` on
+    /// the host-facing last hop.
+    pub(crate) buffer: Option<u32>,
+}
+
 /// One switch input buffer: FIFO of in-flight reservations. An entry
 /// frees at the instant the upstream sees the credit return — after the
 /// message finished streaming out of this switch plus one cable flight.
@@ -142,6 +157,7 @@ pub struct ClusterFabric {
     nic_free: Vec<SimTime>,
     /// ECN mark threshold in bytes (precomputed from the config).
     ecn_bytes: u64,
+    /// Scratch for [`FabricGraph::route_into`] while resolving a route.
     route: Vec<RouteHop>,
     pub counters: FlowCounters,
     /// Optional per-port time-series recording (`None` costs nothing on
@@ -254,6 +270,48 @@ impl ClusterFabric {
     /// delivery. Emits one `fabric_hop` traced stage per switch and a
     /// `fabric_msg_latency` metric per message.
     pub fn send(&mut self, depart: SimTime, src: u32, dst: u32, payload: u32) -> Delivery {
+        let mut hops = [ResolvedHop::default(); MAX_ROUTE_HOPS];
+        let len = self.resolve(src, dst, &mut hops);
+        self.walk(depart, payload, &hops[..len])
+    }
+
+    /// Resolve the `src → dst` route to global port ids in `out`; returns
+    /// the hop count. Routing is deterministic, so a caller that sends
+    /// the same pair many times may resolve once and [`walk`] the result.
+    ///
+    /// [`walk`]: ClusterFabric::walk
+    pub(crate) fn resolve(&mut self, src: u32, dst: u32, out: &mut [ResolvedHop]) -> usize {
+        self.graph.route_into(src, dst, &mut self.route);
+        assert!(
+            self.route.len() <= out.len(),
+            "route of {} hops exceeds the {}-hop buffer",
+            self.route.len(),
+            out.len()
+        );
+        for (slot, hop) in out.iter_mut().zip(&self.route) {
+            let buffer = match self.graph.ports[hop.sw as usize][hop.port as usize] {
+                PortTarget::Switch { sw, port } => Some(self.graph.gid(sw, port) as u32),
+                PortTarget::Host(h) => {
+                    debug_assert_eq!(h, dst, "route delivered to the wrong host");
+                    None
+                }
+            };
+            *slot = ResolvedHop {
+                egress: self.graph.gid(hop.sw, hop.port) as u32,
+                buffer,
+            };
+        }
+        self.route.len()
+    }
+
+    /// The hop walk behind [`ClusterFabric::send`], over a route already
+    /// resolved by [`ClusterFabric::resolve`].
+    pub(crate) fn walk(
+        &mut self,
+        depart: SimTime,
+        payload: u32,
+        route: &[ResolvedHop],
+    ) -> Delivery {
         let seg = segmented_wire_bytes(payload, self.cfg.mtu);
         // First-hop wire: SerDes/propagation plus full serialization at
         // the injection link — identical to `WireModel::latency_mean` for
@@ -266,11 +324,8 @@ impl ClusterFabric {
         let msg_id = self.counters.messages;
         self.counters.messages += 1;
 
-        // route/graph are disjoint fields; take the route buffer out to
-        // keep the borrow checker out of the hop loop (same for the
-        // telemetry recorder, which borrows nothing of the fabric).
-        let mut route = std::mem::take(&mut self.route);
-        self.graph.route_into(src, dst, &mut route);
+        // The telemetry recorder borrows nothing of the fabric; take it
+        // out to keep the borrow checker out of the hop loop.
         let mut tel = self.telemetry.take();
 
         let mut t = depart + wire_lat; // header arrival at the first switch
@@ -280,13 +335,13 @@ impl ClusterFabric {
         // The input-buffer entry pushed at the previous hop; its free
         // time is patched once this hop's egress start is known.
         let mut patch: Option<usize> = None;
-        for hop in &route {
+        for hop in route {
             let arrival = t;
             let mut ready = arrival + self.cfg.switch_base;
             if self.cfg.forwarding == Forwarding::StoreAndForward {
                 ready += ser;
             }
-            let out_gid = self.graph.gid(hop.sw, hop.port);
+            let out_gid = hop.egress as usize;
             let mut start = ready.max_of(self.egress_busy[out_gid]);
             // Egress start after the queue drained, before credit stalls:
             // the boundary between the hop's queue and credit phases.
@@ -297,12 +352,11 @@ impl ClusterFabric {
                 metrics::counter("fabric_contended", 1);
                 queued += start.since(ready);
             }
-            let target = self.graph.ports[hop.sw as usize][hop.port as usize];
-            if let PortTarget::Switch { sw, port } = target {
+            if let Some(bgid) = hop.buffer {
                 // Credit flow control: the next hop's input buffer must
                 // have room before egress may start. Buffers are FIFOs:
                 // reservations free in arrival order.
-                let buf = &mut self.bufs[self.graph.gid(sw, port)];
+                let buf = &mut self.bufs[bgid as usize];
                 while buf.occupied + need > self.cfg.input_buffer_bytes {
                     let (free_at, bytes) = buf
                         .q
@@ -357,9 +411,9 @@ impl ClusterFabric {
                 msg_id,
                 &[],
             );
-            match target {
-                PortTarget::Switch { sw, port } => {
-                    let bgid = self.graph.gid(sw, port);
+            match hop.buffer {
+                Some(bgid) => {
+                    let bgid = bgid as usize;
                     let buf = &mut self.bufs[bgid];
                     // Provisional free time (patched at the next hop).
                     buf.q
@@ -388,8 +442,7 @@ impl ClusterFabric {
                     patch = Some(bgid);
                     t = start + self.cfg.inter_switch_cable;
                 }
-                PortTarget::Host(h) => {
-                    debug_assert_eq!(h, dst, "route delivered to the wrong host");
+                None => {
                     // Cut-through delivery: the final cable segment is
                     // folded into the wire calibration, exactly as the
                     // legacy single-switch model accounts it.
@@ -398,7 +451,6 @@ impl ClusterFabric {
             }
         }
         let hops = route.len() as u32;
-        self.route = route;
         let latency = t.since(depart);
         if let Some(tel) = tel.as_deref_mut() {
             // Analytic uncontended cost of the walk: first-hop wire plus
@@ -429,6 +481,65 @@ impl ClusterFabric {
             queued,
             credit_waited,
         }
+    }
+
+    /// Departure gap after a clean walk (no queueing, no credit wait, no
+    /// ECN mark) of a `hops`-hop route beyond which the same route's next
+    /// walk of a `payload`-byte message finds every port it uses expired:
+    /// each egress idle and each input buffer drained. Provided no other
+    /// traffic touches those ports, that walk is clean again, delivers
+    /// after the same latency and leaves the ports in the state a walk
+    /// on an idle fabric would. `None` when a lone message already
+    /// crosses the ECN threshold, so no walk of the route is ever clean.
+    ///
+    /// The clean hop-`k` egress start is `depart + wire + k·step + base`
+    /// (`step = base + cable`, plus `ser` under store-and-forward). The
+    /// egress frees `ser` after it starts; the reservation at the next
+    /// switch frees `ser + cable` after the *next* hop starts, i.e.
+    /// `step + ser + cable` after this hop's start.
+    pub(crate) fn clearance(&self, payload: u32, hops: u32) -> Option<SimDuration> {
+        if hops >= 2 && self.reservation_room(payload) == 0 {
+            return None;
+        }
+        let ser = self.cfg.switch_per_byte * segmented_wire_bytes(payload, self.cfg.mtu);
+        if hops < 2 {
+            return Some(ser);
+        }
+        let mut step = self.cfg.switch_base + self.cfg.inter_switch_cable;
+        if self.cfg.forwarding == Forwarding::StoreAndForward {
+            step += ser;
+        }
+        Some(step + ser + self.cfg.inter_switch_cable)
+    }
+
+    /// How many `payload`-byte reservations an input buffer holds, the
+    /// newest included, with no credit wait and no ECN mark: a walk that
+    /// finds `m` live reservations of its size is clean at that buffer
+    /// iff `m` is below this. Zero when a lone message already marks.
+    pub(crate) fn reservation_room(&self, payload: u32) -> u64 {
+        let need = segmented_wire_bytes(payload, self.cfg.mtu).min(self.cfg.input_buffer_bytes);
+        (self.cfg.input_buffer_bytes / need).min(self.ecn_bytes.saturating_sub(1) / need)
+    }
+
+    /// Account `count` clean walks of a `hops`-hop route of clean latency
+    /// `latency` that were never performed: exactly the message count and
+    /// the `fabric_hop` / `fabric_msg_latency` samples those walks would
+    /// have added. Only valid outside windowed metrics and trace scopes,
+    /// whose recordings carry per-walk timestamps.
+    pub(crate) fn account_clean_walks(
+        &mut self,
+        payload: u32,
+        hops: u32,
+        latency: SimDuration,
+        count: u64,
+    ) {
+        self.counters.messages += count;
+        let mut hop = self.cfg.switch_base;
+        if self.cfg.forwarding == Forwarding::StoreAndForward {
+            hop += self.cfg.switch_per_byte * segmented_wire_bytes(payload, self.cfg.mtu);
+        }
+        metrics::record_n("fabric_hop", hop.as_ps(), count * hops as u64);
+        metrics::record_n("fabric_msg_latency", latency.as_ps(), count);
     }
 
     /// One-way latency of an uncontended walk — the calibration gate

@@ -19,7 +19,8 @@
 //!   egress arbitration, ECN marks fed back to injecting NICs.
 //! - [`collective`]: synchronous-round drivers for barrier, binomial
 //!   bcast, recursive-doubling allreduce (with the MPICH fold), and
-//!   ring allreduce.
+//!   ring allreduce, whose certainly-clean walks of isolated pairs are
+//!   skipped (isolated-pair replay, byte-identical to walking them).
 //! - [`telemetry`]: deterministic per-port time-series (utilization,
 //!   queue/credit stalls, ECN, occupancy gauges) and flow-level path
 //!   attribution over [`ClusterFabric`] — the sensor layer behind
@@ -32,11 +33,14 @@ pub mod sweep;
 pub mod telemetry;
 pub mod topo;
 
-pub use collective::{run_flow_collective, EndpointCosts, FlowCollective, FlowReport};
+pub use collective::{
+    run_flow_collective, run_flow_collective_on, CollectivePath, EndpointCosts, FlowCollective,
+    FlowReport,
+};
 pub use flow::{ClusterFabric, Delivery, FlowConfig, FlowCounters, Forwarding};
 pub use sweep::{
-    dragonfly_for, fat_tree_for, sweep_ranks, sweep_ranks_telemetry, two_node_equivalence,
-    RankPoint, TelemetryPoint, TwoNodeCheck, SWEEP_PAYLOAD_BYTES,
+    dragonfly_for, fat_tree_for, sweep_ranks, sweep_ranks_on, sweep_ranks_telemetry,
+    two_node_equivalence, RankPoint, TelemetryPoint, TwoNodeCheck, SWEEP_PAYLOAD_BYTES,
 };
 pub use telemetry::{Conservation, FabricTelemetry, Hotspot, TelemetryConfig, TelemetryReport};
 pub use topo::{FabricGraph, PortTarget, RouteHop, TopologyKind};

@@ -7,7 +7,7 @@
 //! serial sweeps are byte-identical — the same guarantee every other
 //! `repro` surface ships, enforced by CI's byte-diff.
 
-use crate::collective::{run_flow_collective, EndpointCosts, FlowCollective};
+use crate::collective::{run_flow_collective_on, CollectivePath, EndpointCosts, FlowCollective};
 use crate::flow::ClusterFabric;
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
 use crate::topo::{FabricGraph, TopologyKind};
@@ -88,11 +88,23 @@ const COLLECTIVES: [FlowCollective; 4] = [
 /// collectives. Results come back in grid order regardless of pool
 /// width.
 pub fn sweep_ranks(rank_counts: &[u32], pool: &WorkerPool) -> Vec<RankPoint> {
+    sweep_ranks_on(CollectivePath::Fast, rank_counts, pool)
+}
+
+/// [`sweep_ranks`] with every collective on an explicit driver path; the
+/// points are identical on both paths.
+pub fn sweep_ranks_on(
+    path: CollectivePath,
+    rank_counts: &[u32],
+    pool: &WorkerPool,
+) -> Vec<RankPoint> {
     let tasks: Vec<(&'static str, u32)> = rank_counts
         .iter()
         .flat_map(|&r| [("fat-tree", r), ("dragonfly", r)])
         .collect();
-    let cells = pool.map(tasks, |_idx, (topo, ranks)| sweep_cell(topo, ranks, None));
+    let cells = pool.map(tasks, move |_idx, (topo, ranks)| {
+        sweep_cell(path, topo, ranks, None)
+    });
     cells
         .into_iter()
         .flatten()
@@ -119,7 +131,7 @@ pub fn sweep_ranks_telemetry(rank_counts: &[u32], pool: &WorkerPool) -> Vec<Tele
         .collect();
     let cfg = TelemetryConfig::paper_default();
     let cells = pool.map(tasks, move |_idx, (topo, ranks)| {
-        sweep_cell(topo, ranks, Some(cfg))
+        sweep_cell(CollectivePath::Fast, topo, ranks, Some(cfg))
     });
     cells
         .into_iter()
@@ -132,8 +144,9 @@ pub fn sweep_ranks_telemetry(rank_counts: &[u32], pool: &WorkerPool) -> Vec<Tele
 }
 
 /// All four collectives on one (topology, ranks) cell, optionally with
-/// telemetry recording.
+/// telemetry recording (which always walks every message).
 fn sweep_cell(
+    path: CollectivePath,
     topo: &'static str,
     ranks: u32,
     telemetry: Option<TelemetryConfig>,
@@ -159,7 +172,7 @@ fn sweep_cell(
             fab.reset_transients();
             let capacity_gbps = graph.bisection_links() as f64 * fab.link_rate_gbps();
             let (report, task) =
-                metrics::collect(|| run_flow_collective(&mut fab, ranks, coll, costs));
+                metrics::collect(|| run_flow_collective_on(path, &mut fab, ranks, coll, costs));
             let set = metrics::MetricsSet::from_task(task);
             let msg = set.hist("fabric_msg_latency").expect("messages recorded");
             let completion_ns = report.completion.as_ns_f64();

@@ -373,12 +373,21 @@ impl Registry {
 
     #[inline]
     fn record(&mut self, name: &'static str, v: u64) {
+        self.record_n(name, v, 1);
+    }
+
+    /// `n` samples of `v` at once: the aggregate is commutative
+    /// (buckets, count, sum, min, max), so this equals `n` single records.
+    #[inline]
+    fn record_n(&mut self, name: &'static str, v: u64, n: u64) {
         let Some(h) = self.name_slot(name) else {
+            // `name_slot` counted one lost recording; these are `n`.
+            self.dropped += n.saturating_sub(1);
             return;
         };
-        self.buckets[h * NUM_BUCKETS + bucket_index(v)] += 1;
-        self.counts[h] += 1;
-        self.sums[h] += v;
+        self.buckets[h * NUM_BUCKETS + bucket_index(v)] += n;
+        self.counts[h] += n;
+        self.sums[h] += v * n;
         self.mins[h] = self.mins[h].min(v);
         self.maxs[h] = self.maxs[h].max(v);
     }
@@ -533,6 +542,29 @@ pub fn record(name: &'static str, dur: SimDuration) {
     record_ps(name, dur.as_ps());
 }
 
+/// Record `n` samples of the raw value `v` into the histogram named
+/// `name`: exactly what `n` calls of [`record_ps`] aggregate. `n == 0`
+/// records nothing (not even the name). Bulk samples carry no timestamp,
+/// so they never land in [`collect_windowed`] windows.
+#[inline]
+pub fn record_n(name: &'static str, v: u64, n: u64) {
+    if n == 0 || !enabled() {
+        return;
+    }
+    REGISTRY.with(|r| {
+        if let Some(reg) = r.borrow_mut().last_mut() {
+            reg.record_n(name, v, n);
+        }
+    });
+}
+
+/// Is the innermost collect scope on this thread a [`collect_windowed`]
+/// one? Callers that would replace timestamped recordings with
+/// [`record_n`] must keep recording one by one while this holds.
+pub fn windowed() -> bool {
+    enabled() && REGISTRY.with(|r| r.borrow().last().is_some_and(|reg| reg.window_width != 0))
+}
+
 /// Record a raw value with the virtual-time instant `at_ps` it belongs to.
 /// Aggregates exactly like [`record_ps`]; inside a [`collect_windowed`]
 /// scope the value additionally lands in the fixed-width window that
@@ -603,6 +635,32 @@ mod tests {
         let (_, task) = collect(|| ());
         assert!(task.hists.is_empty());
         assert!(task.counters.is_empty());
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        let (_, one_by_one) = collect(|| {
+            record_ps("lat", 5);
+            for _ in 0..7 {
+                record_ps("lat", 108_000);
+            }
+            record_ps("hop", 3);
+        });
+        let (_, bulk) = collect(|| {
+            record_ps("lat", 5);
+            record_n("lat", 108_000, 7);
+            record_n("never", 1, 0);
+            record_ps("hop", 3);
+        });
+        assert_eq!(
+            MetricsSet::from_task(bulk),
+            MetricsSet::from_task(one_by_one)
+        );
+        assert!(!windowed());
+        let ((inner, outer), _) = collect_windowed(SimDuration::from_ps(10), || {
+            (collect(windowed).0, windowed())
+        });
+        assert!(!inner && outer, "the innermost scope decides");
     }
 
     #[test]
@@ -756,9 +814,11 @@ mod tests {
             for name in NAMES {
                 record_ps(name, 1);
             }
+            // Bulk samples past the table are lost one for one, too.
+            record_n(NAMES[MAX_NAMES], 1, 4);
         });
         assert_eq!(task.hists.len(), MAX_NAMES);
-        assert_eq!(task.dropped, (NAMES.len() - MAX_NAMES) as u64);
+        assert_eq!(task.dropped, (NAMES.len() - MAX_NAMES) as u64 + 4);
     }
 
     #[test]
