@@ -49,6 +49,7 @@ use bband_sim::{EventKey, EventQueue, Pcg64, SimDuration, SimTime, StallSchedule
 use bband_trace as trace;
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -454,6 +455,7 @@ pub const DEFAULT_LOSS_GRID: [f64; 6] = [0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2];
 /// [`trace::SpanId`] of the stage that scheduled them, so the target-side
 /// stages can declare their happens-after edges; the id is
 /// [`trace::SpanId::NONE`] (and costs nothing) on untraced runs.
+#[derive(Debug)]
 enum Ev {
     /// The initiator CPU starts posting message `msg`.
     Post { msg: u64 },
@@ -846,7 +848,8 @@ struct FaultSim {
     /// no collector is installed, so runs of clean messages can commit in
     /// bulk ([`FaultSim::try_turbo`]) instead of one replay at a time.
     turbo_ok: bool,
-    /// Uniform post cadence (`post_time[m+1] - post_time[m]`).
+    /// Uniform post cadence: message `m` posts at `post_interval * m`
+    /// ([`FaultSim::post_at`]).
     post_interval: SimDuration,
     plan: FaultPlan,
     // Calibrated stage costs, kept per component so the trace can expose
@@ -898,12 +901,29 @@ struct FaultSim {
     /// previous reap) — the second predecessor of a `reap_wait` stage.
     target_cpu_span: trace::SpanId,
     // Measurement.
-    post_time: Vec<SimTime>,
     completed: u64,
     lat_sum_ns: f64,
     lat_min_ns: f64,
     lat_max_ns: f64,
     counters: RecoveryCounters,
+}
+
+thread_local! {
+    /// The message table of the last [`FaultSim`] on this thread, handed
+    /// back on drop so the next run reuses the allocation. Without it every
+    /// run allocated (and freed) a table of 32 bytes per message, whose
+    /// placement under glibc's sliding mmap threshold decided how much
+    /// freed heap a sweep kept resident.
+    static MSG_SCRATCH: Cell<Vec<MsgState>> = const { Cell::new(Vec::new()) };
+}
+
+impl Drop for FaultSim {
+    fn drop(&mut self) {
+        let msgs = std::mem::take(&mut self.msgs);
+        // During thread teardown the slot may be gone; the table is then
+        // simply freed.
+        let _ = MSG_SCRATCH.try_with(|s| s.set(msgs));
+    }
 }
 
 impl FaultSim {
@@ -943,7 +963,9 @@ impl FaultSim {
         // Resolve every message's payload, protocol, and segment count up
         // front; the post cadence is the slowest message's fault-free
         // lifetime, so back-to-back chains never overlap on a clean run.
-        let mut msgs = Vec::with_capacity(messages as usize);
+        let mut msgs = MSG_SCRATCH.take();
+        msgs.clear();
+        msgs.reserve_exact(messages as usize);
         let mut per_size: Vec<(u32, SimDuration)> = Vec::new();
         let mut max_total = SimDuration::ZERO;
         for m in 0..messages {
@@ -978,16 +1000,13 @@ impl FaultSim {
         // For the default 8-byte plan `max_total` is exactly the classic
         // model total; `max_of` only widens the cadence for larger plans.
         let post_interval = model.total().max(max_total);
-        let mut post_time = Vec::with_capacity(messages as usize);
-        for msg in 0..messages {
-            let at = SimTime::ZERO + post_interval * msg;
-            post_time.push(at);
-            // The fast path generates posts lazily from `next_post` — the
-            // queue then holds only genuinely pending events, which is
-            // both the quiescence test replay needs and a heap that stays
-            // O(in-flight) instead of O(messages).
-            if path == EnginePath::Reference {
-                queue.push(at, Ev::Post { msg });
+        // The fast path generates posts lazily from `next_post` — the
+        // queue then holds only genuinely pending events, which is both
+        // the quiescence test replay needs and a heap that stays
+        // O(in-flight) instead of O(messages).
+        if path == EnginePath::Reference {
+            for msg in 0..messages {
+                queue.push(SimTime::ZERO + post_interval * msg, Ev::Post { msg });
             }
         }
         let instrumented = trace::enabled() || bband_metrics::enabled();
@@ -1070,7 +1089,6 @@ impl FaultSim {
             psn_launch: Vec::new(),
             target_cpu_free: SimTime::ZERO,
             target_cpu_span: trace::SpanId::NONE,
-            post_time,
             completed: 0,
             lat_sum_ns: 0.0,
             lat_min_ns: f64::INFINITY,
@@ -1173,12 +1191,22 @@ impl FaultSim {
 
     /// Remember the last stage (or drop marker) of `psn`'s transmission
     /// attempt, for the `rto_backoff` gap that may later wait on it.
+    /// Readers default a missing entry to [`trace::SpanId::NONE`], so an
+    /// untraced run never grows the table.
     fn note_launch(&mut self, psn: Psn, span: trace::SpanId) {
         let i = psn.0 as usize;
         if i >= self.psn_launch.len() {
+            if span.is_none() {
+                return;
+            }
             self.psn_launch.resize(i + 1, trace::SpanId::NONE);
         }
         self.psn_launch[i] = span;
+    }
+
+    /// When message `msg` is posted.
+    fn post_at(&self, msg: u64) -> SimTime {
+        SimTime::ZERO + self.post_interval * msg
     }
 
     /// Put one packet (first transmission or retransmission) on the
@@ -1510,7 +1538,7 @@ impl FaultSim {
         self.target_cpu_span =
             trace::stage(trace::Layer::Hlp, "HLP_rx_prog", llp_done, done, msg, &[lp]);
         self.target_cpu_free = done;
-        let latency_dur = done.since(self.post_time[msg as usize]);
+        let latency_dur = done.since(self.post_at(msg));
         // Replay bootstrap: the fast path trusts the memo only after the
         // event loop itself has completed one message bit-exactly on it
         // (any fault strictly lengthens the lifetime, so equality means
@@ -1529,7 +1557,7 @@ impl FaultSim {
         bband_metrics::record_ps_at(
             "e2e_latency",
             latency_dur.as_ps(),
-            self.post_time[msg as usize].as_ps(),
+            self.post_at(msg).as_ps(),
         );
         let latency = latency_dur.as_ns_f64();
         self.completed += 1;
@@ -1720,8 +1748,7 @@ impl FaultSim {
         let mut aborted = None;
         let mut batch: Vec<(SimTime, Ev)> = Vec::new();
         while self.completed < messages {
-            let pending_post =
-                (self.next_post < messages).then(|| self.post_time[self.next_post as usize]);
+            let pending_post = (self.next_post < messages).then(|| self.post_at(self.next_post));
             let take_post = match (pending_post, self.queue.next_live_time()) {
                 (Some(p), Some(q)) => p <= q,
                 (Some(_), None) => true,
@@ -1732,7 +1759,7 @@ impl FaultSim {
             };
             if take_post {
                 let msg = self.next_post;
-                let t = self.post_time[msg as usize];
+                let t = self.post_at(msg);
                 if self.turbo_ok {
                     let k = self.try_turbo(msg, t, messages);
                     if k > 0 {
@@ -1906,7 +1933,7 @@ impl FaultSim {
         }
         // Two TLP ids per message, TX leg first.
         let base = self.ids.skip(2 * k);
-        let last_t = self.post_time[(msg + k - 1) as usize];
+        let last_t = self.post_at(msg + k - 1);
         let nic = last_t + memo.nic;
         let rx_arr = last_t + memo.rx_arr;
         self.tx_chan.skip_delivered(

@@ -7,10 +7,9 @@
 //! experience queueing, which the paper's single-flow experiments never do.
 
 use crate::packet::{NodeId, Packet};
-use bband_sim::{Jitter, Pcg64, SimDuration, SimTime};
+use bband_sim::{IdMap, Jitter, Pcg64, SimDuration, SimTime};
 use bband_trace as trace;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A cut-through switch with per-output-port serialization.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -23,7 +22,7 @@ pub struct SwitchModel {
     pub jitter: Jitter,
     /// Busy-until horizon per egress port.
     #[serde(skip)]
-    egress_busy: HashMap<NodeId, SimTime>,
+    egress_busy: IdMap<NodeId, SimTime>,
     /// Packets that experienced queueing (diagnostics). Transient run
     /// state like `egress_busy`, so it is skipped too: a deserialized
     /// switch always starts idle *and* uncontended.
@@ -40,7 +39,7 @@ impl Default for SwitchModel {
             base: SimDuration::from_ns_f64(108.0),
             per_byte: SimDuration::from_ps(80),
             jitter: Jitter::hw_default(),
-            egress_busy: HashMap::new(),
+            egress_busy: IdMap::default(),
             contended: 0,
         }
     }
@@ -69,7 +68,7 @@ impl SwitchModel {
             base: self.base,
             per_byte: self.per_byte,
             jitter: self.jitter,
-            egress_busy: HashMap::new(),
+            egress_busy: IdMap::default(),
             contended: 0,
         }
     }

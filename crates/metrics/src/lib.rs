@@ -626,9 +626,24 @@ fn collect_with<R>(reg: Registry, f: impl FnOnce() -> R) -> (R, TaskMetrics) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// [`enabled`] reads a process-global count and the harness runs tests
+    /// on parallel threads, so every test here that installs a collector,
+    /// or asserts that none is installed, holds this lock.
+    static COLLECTOR_TESTS: Mutex<()> = Mutex::new(());
+
+    /// Take [`COLLECTOR_TESTS`]. It guards no data, so a test that panicked
+    /// while holding it leaves nothing to repair.
+    fn serial() -> MutexGuard<'static, ()> {
+        COLLECTOR_TESTS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_recording_is_a_no_op() {
+        let _serial = serial();
         assert!(!enabled());
         record_ps("nothing", 42);
         counter("nothing", 1);
@@ -639,6 +654,7 @@ mod tests {
 
     #[test]
     fn record_n_equals_n_single_records() {
+        let _serial = serial();
         let (_, one_by_one) = collect(|| {
             record_ps("lat", 5);
             for _ in 0..7 {
@@ -708,6 +724,7 @@ mod tests {
 
     #[test]
     fn quantile_interpolates_within_exact_buckets() {
+        let _serial = serial();
         let (_, task) = collect(|| {
             for v in 0..8u64 {
                 record_ps("lat", v);
@@ -729,6 +746,7 @@ mod tests {
 
     #[test]
     fn quantile_respects_exact_min_and_max() {
+        let _serial = serial();
         let (_, task) = collect(|| {
             record_ps("lat", 1_000_003);
             record_ps("lat", 1_000_003);
@@ -744,6 +762,7 @@ mod tests {
 
     #[test]
     fn identical_samples_pin_every_quantile() {
+        let _serial = serial();
         let (_, task) = collect(|| {
             for _ in 0..1000 {
                 record("stage", SimDuration::from_ps(26_560));
@@ -759,6 +778,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_merge_by_name() {
+        let _serial = serial();
         let (_, a) = collect(|| {
             counter("naks", 2);
             counter("naks", 3);
@@ -775,6 +795,7 @@ mod tests {
 
     #[test]
     fn merge_order_is_task_major_first_appearance() {
+        let _serial = serial();
         let (_, a) = collect(|| {
             record_ps("x", 1);
             record_ps("y", 2);
@@ -792,6 +813,7 @@ mod tests {
 
     #[test]
     fn name_overflow_counts_dropped_instead_of_allocating() {
+        let _serial = serial();
         static NAMES: [&str; 70] = {
             // 70 distinct static names without a proc macro.
             let mut n = [""; 70];
@@ -823,6 +845,7 @@ mod tests {
 
     #[test]
     fn windowed_collection_splits_by_timestamp() {
+        let _serial = serial();
         let (_, task) = collect_windowed(SimDuration::from_ps(100), || {
             record_ps_at("lat", 10, 0); // window 0
             record_ps_at("lat", 20, 99); // window 0
@@ -845,6 +868,7 @@ mod tests {
 
     #[test]
     fn plain_collect_produces_no_windows() {
+        let _serial = serial();
         let (_, task) = collect(|| record_ps_at("lat", 10, 12345));
         assert!(task.windows.is_empty());
         assert_eq!(
@@ -855,6 +879,7 @@ mod tests {
 
     #[test]
     fn windowed_merge_is_order_independent() {
+        let _serial = serial();
         let run = |samples: &[(u64, u64)]| {
             collect_windowed(SimDuration::from_ps(50), || {
                 for &(v, at) in samples {
@@ -884,6 +909,7 @@ mod tests {
 
     #[test]
     fn out_of_order_timestamps_land_in_the_right_window() {
+        let _serial = serial();
         let (_, task) = collect_windowed(SimDuration::from_ps(10), || {
             record_ps_at("o", 1, 95);
             record_ps_at("o", 2, 5); // earlier window after a later one
@@ -898,6 +924,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_shadow_the_outer() {
+        let _serial = serial();
         let ((), outer) = collect(|| {
             record_ps("outer", 1);
             let ((), inner) = collect(|| record_ps("inner", 2));
@@ -925,6 +952,7 @@ mod tests {
         /// Quantiles are monotone in q and bracketed by min/max.
         #[test]
         fn quantiles_are_monotone(values in proptest::collection::vec(any::<u32>(), 1..200)) {
+            let _serial = serial();
             let (_, task) = collect(|| {
                 for &v in &values {
                     record_ps("q", v as u64);

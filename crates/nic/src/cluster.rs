@@ -26,9 +26,9 @@ use bband_pcie::{
     Dllp, FlowControl, LinkDirection, LinkModel, LinkTap, RcAction, RootComplex, Tlp, TlpId,
     TlpPurpose,
 };
-use bband_sim::{EventQueue, Pcg64, SimDuration, SimTime, StallSchedule};
+use bband_sim::{EventQueue, IdMap, Pcg64, SimDuration, SimTime, StallSchedule};
 use bband_trace as trace;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Path MTU: larger payloads are segmented by the NIC and pipelined onto
 /// the wire (InfiniBand's maximum MTU).
@@ -80,12 +80,12 @@ struct Nic {
     cfg: NicConfig,
     ids: bband_pcie::TlpIdGen,
     /// Posted-send operations awaiting transport ACK, by message packet id.
-    inflight: HashMap<PacketId, InflightSend>,
+    inflight: IdMap<PacketId, InflightSend>,
     /// Doorbell-path fetches in flight, keyed by doorbell/MRd TLP id.
-    fetching: HashMap<TlpId, FetchStage>,
+    fetching: IdMap<TlpId, FetchStage>,
     /// PIO chunk→operation map and per-operation assembly state.
-    pio_chunk_map: HashMap<TlpId, u64>,
-    pio_ops: HashMap<u64, PioAssembly>,
+    pio_chunk_map: IdMap<TlpId, u64>,
+    pio_ops: IdMap<u64, PioAssembly>,
     next_pio_op: u64,
     /// Posted receives (FIFO matching, as an IB receive queue).
     rx_posted: VecDeque<(WrId, u32)>,
@@ -93,17 +93,17 @@ struct Nic {
     unexpected: VecDeque<Packet>,
     /// Completed-but-unsignaled sends awaiting the next signaled CQE,
     /// per queue pair.
-    unsignaled_backlog: HashMap<QpId, u32>,
+    unsignaled_backlog: IdMap<QpId, u32>,
     /// Hardware ring occupancy per queue pair — N doorbells, one per VI
     /// (defense in depth; the software ring check lives in the LLP).
     /// `cfg.txq_depth` bounds each QP's ring independently, as on real
     /// hardware where every QP owns its own send queue.
-    occupancy: HashMap<QpId, u32>,
+    occupancy: IdMap<QpId, u32>,
     /// CQE DMA-writes in flight: TLP id → (wr_id, qp, completes).
-    cqe_in_flight: HashMap<TlpId, (WrId, QpId, u32)>,
+    cqe_in_flight: IdMap<TlpId, (WrId, QpId, u32)>,
     /// Receive-payload DMA-writes in flight:
     /// TLP id → (wr_id, qp, len, tag, src).
-    recv_in_flight: HashMap<TlpId, (WrId, QpId, u32, u64, NodeId)>,
+    recv_in_flight: IdMap<TlpId, (WrId, QpId, u32, u64, NodeId)>,
     /// Receiver-side credit bookkeeping driving UpdateFC back to the RC.
     fc_recv: FlowControl,
 }
@@ -113,17 +113,17 @@ impl Nic {
         Nic {
             cfg,
             ids: bband_pcie::TlpIdGen::new(),
-            inflight: HashMap::new(),
-            fetching: HashMap::new(),
-            pio_chunk_map: HashMap::new(),
-            pio_ops: HashMap::new(),
+            inflight: IdMap::default(),
+            fetching: IdMap::default(),
+            pio_chunk_map: IdMap::default(),
+            pio_ops: IdMap::default(),
             next_pio_op: 0,
             rx_posted: VecDeque::new(),
             unexpected: VecDeque::new(),
-            unsignaled_backlog: HashMap::new(),
-            occupancy: HashMap::new(),
-            cqe_in_flight: HashMap::new(),
-            recv_in_flight: HashMap::new(),
+            unsignaled_backlog: IdMap::default(),
+            occupancy: IdMap::default(),
+            cqe_in_flight: IdMap::default(),
+            recv_in_flight: IdMap::default(),
             fc_recv: FlowControl::connectx4_default(),
         }
     }
@@ -143,7 +143,7 @@ struct NodeState {
     nic: Nic,
     /// Per-QP completion queues visible to CPU loads (entries appear only
     /// after `MemVisible`).
-    host_cq: HashMap<QpId, VecDeque<Cqe>>,
+    host_cq: IdMap<QpId, VecDeque<Cqe>>,
     link_rng: Pcg64,
 }
 
@@ -168,13 +168,13 @@ pub struct Cluster {
     pub nic_stalls: u64,
     /// Happens-after cause of each in-flight TLP (traced runs only; empty
     /// and untouched when tracing is disabled).
-    tlp_cause: HashMap<TlpId, trace::SpanId>,
+    tlp_cause: IdMap<TlpId, trace::SpanId>,
     /// Happens-after cause of each in-flight network packet (traced runs
     /// only).
-    pkt_cause: HashMap<PacketId, trace::SpanId>,
+    pkt_cause: IdMap<PacketId, trace::SpanId>,
     /// When each credit-parked MMIO write entered the RC's pending queue —
     /// the start of its `credit_wait` stage (and of the stall-time accrual).
-    stalled_at: HashMap<TlpId, SimTime>,
+    stalled_at: IdMap<TlpId, SimTime>,
     /// Per-node span of the RC's most recent downstream TLP departure: the
     /// shared RC track. Credit waits chain after it, so a starved pool
     /// shows up in the DAG as cross-core edges through one serialised RC.
@@ -183,6 +183,10 @@ pub struct Cluster {
     /// windows) — accrued exactly where the recovery-track stages are
     /// recorded, so it equals the trace's Recovery-layer total bit-exactly.
     stall_time: SimDuration,
+    /// Scratch buffer the root complexes append their actions to: taken
+    /// for one RC call, drained by [`Cluster::apply_rc_actions`] and put
+    /// back, so the per-packet path allocates nothing.
+    rc_actions: Vec<RcAction>,
 }
 
 impl Cluster {
@@ -195,7 +199,7 @@ impl Cluster {
                 rc: RootComplex::new(),
                 link: LinkModel::default(),
                 nic: Nic::new(cfg.clone()),
-                host_cq: HashMap::new(),
+                host_cq: IdMap::default(),
                 link_rng: root.fork(0x11A5 + i as u64),
             })
             .collect();
@@ -210,11 +214,12 @@ impl Cluster {
             acks_received: 0,
             stalls: vec![None; n_nodes],
             nic_stalls: 0,
-            tlp_cause: HashMap::new(),
-            pkt_cause: HashMap::new(),
-            stalled_at: HashMap::new(),
+            tlp_cause: IdMap::default(),
+            pkt_cause: IdMap::default(),
+            stalled_at: IdMap::default(),
             rc_track: vec![trace::SpanId::NONE; n_nodes],
             stall_time: SimDuration::ZERO,
+            rc_actions: Vec::new(),
         }
     }
 
@@ -439,7 +444,7 @@ impl Cluster {
             "payload exceeds max_inline"
         );
         *ring += 1;
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.rc_actions);
         let mut posted_ids: Vec<TlpId> = Vec::new();
         let mut parked_ids: Vec<TlpId> = Vec::new();
         let traced = trace::enabled() && !cause.is_none();
@@ -461,7 +466,7 @@ impl Cluster {
                     posted_ids.push(tlp.id);
                 }
                 let before = actions.len();
-                actions.extend(n.rc.mmio_write(now, tlp));
+                n.rc.mmio_write_into(now, tlp, &mut actions);
                 if actions.len() == before {
                     // Parked for credits: remember when, for the
                     // `credit_wait` stage (and stall-time ledger) at release.
@@ -476,7 +481,7 @@ impl Cluster {
                 posted_ids.push(tlp.id);
             }
             let before = actions.len();
-            actions.extend(n.rc.mmio_write(now, tlp));
+            n.rc.mmio_write_into(now, tlp, &mut actions);
             if actions.len() == before {
                 parked_ids.push(tlp.id);
             }
@@ -570,8 +575,10 @@ impl Cluster {
     // Event plumbing
     // ------------------------------------------------------------------
 
-    fn apply_rc_actions(&mut self, node: NodeId, actions: Vec<RcAction>) {
-        for act in actions {
+    /// Schedule what a root complex asked for, then return the drained
+    /// buffer to [`Cluster::rc_actions`] for the next RC call.
+    fn apply_rc_actions(&mut self, node: NodeId, mut actions: Vec<RcAction>) {
+        for act in actions.drain(..) {
             match act {
                 RcAction::SendTlp { depart, tlp } => {
                     let mut dep = self.tlp_dep(tlp.id);
@@ -626,6 +633,7 @@ impl Cluster {
                 }
             }
         }
+        self.rc_actions = actions;
     }
 
     /// NIC sends an upstream TLP toward the RC (tap sees the departure).
@@ -801,7 +809,10 @@ impl Cluster {
             HwEvent::TlpAtRc { node, tlp } => {
                 let tid = tlp.id;
                 let dep = self.tlp_dep(tid);
-                let actions = self.nodes[node.0 as usize].rc.on_upstream_tlp(at, tlp);
+                let mut actions = std::mem::take(&mut self.rc_actions);
+                self.nodes[node.0 as usize]
+                    .rc
+                    .on_upstream_tlp_into(at, tlp, &mut actions);
                 if !dep.is_none() {
                     // Memory writes become an explicit RC-to-MEM stage;
                     // read completions (CplD) inherit the read's cause.
@@ -843,7 +854,10 @@ impl Cluster {
             }
             HwEvent::DllpAtRc { node, dllp } => {
                 if let Dllp::UpdateFc { hdr, data } = dllp {
-                    let actions = self.nodes[node.0 as usize].rc.on_update_fc(at, hdr, data);
+                    let mut actions = std::mem::take(&mut self.rc_actions);
+                    self.nodes[node.0 as usize]
+                        .rc
+                        .on_update_fc_into(at, hdr, data, &mut actions);
                     self.apply_rc_actions(node, actions);
                 }
                 // ACK DLLPs retire replay-buffer entries; no latency effect.
@@ -1563,5 +1577,94 @@ mod tests {
             prev = Some(cqe.wr_id);
         }
         assert_eq!(prev, Some(WrId(49)));
+    }
+
+    /// Every CQE of a jittered, credit-starved two-node run over four
+    /// queue pairs — PIO and doorbell posts, one-sided writes, segmented
+    /// writes, sends with pre-posted and late receives — in the order the
+    /// CPU sees them. The expected count and FNV-1a digest pin the run:
+    /// a change to the NIC's maps, the RC's action buffers or the event
+    /// queue that moves one picosecond or reorders one completion fails.
+    #[test]
+    fn mixed_run_reproduces_the_fixed_cqe_trace() {
+        let mut c = Cluster::two_node_paper(2024).with_credits(6, 96, 3);
+        let mut tap = NullTap;
+        let mut trace: Vec<(u32, u32, u64, u64, u32, u64)> = Vec::new();
+        let drain = |c: &mut Cluster, trace: &mut Vec<_>| {
+            for node in 0..2 {
+                for qp in 0..4 {
+                    while let Some(cqe) = c.pop_cqe(NodeId(node), QpId(qp)) {
+                        trace.push((
+                            node,
+                            qp,
+                            cqe.wr_id.0,
+                            cqe.kind as u64,
+                            cqe.completes,
+                            cqe.visible_at.as_ps(),
+                        ));
+                    }
+                }
+            }
+        };
+        let mut t = SimTime::ZERO;
+        for i in 0..400u64 {
+            let qp = (i % 4) as u32;
+            let src = (i / 4 % 2) as u32;
+            let mut d = desc(
+                i,
+                if i % 5 == 0 {
+                    Opcode::Send
+                } else {
+                    Opcode::RdmaWrite
+                },
+            );
+            d.qp = QpId(qp);
+            d.dst_qp = QpId(qp);
+            d.dst = NodeId(1 - src);
+            d.signaled = i % 3 != 1;
+            match i % 7 {
+                0 => {
+                    d.pio = false;
+                    d.inline = false;
+                }
+                1 if d.opcode == Opcode::RdmaWrite => {
+                    d.inline = false;
+                    d.pio = false;
+                    d.payload = 9_000;
+                }
+                2 => d.payload = 200,
+                _ => {}
+            }
+            if d.opcode == Opcode::Send && i % 10 != 5 {
+                c.post_recv(t, NodeId(1 - src), WrId(10_000 + i), 4096, &mut tap);
+            }
+            c.post(t, NodeId(src), d, &mut tap);
+            t += SimDuration::from_ns(90 + i % 13 * 20);
+            c.advance_to(t, &mut tap);
+            drain(&mut c, &mut trace);
+        }
+        for i in 0..40u64 {
+            // Late receives for the sends that arrived unexpected.
+            c.post_recv(t, NodeId(0), WrId(20_000 + i), 4096, &mut tap);
+            c.post_recv(t, NodeId(1), WrId(30_000 + i), 4096, &mut tap);
+        }
+        c.run_until_idle(&mut tap);
+        drain(&mut c, &mut trace);
+        let digest = trace.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, e| {
+            [e.0 as u64, e.1 as u64, e.2, e.3, e.4 as u64, e.5]
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+        });
+        assert!(
+            !c.rc_never_stalled(),
+            "the run must exercise UpdateFC releases"
+        );
+        assert_eq!(
+            (trace.len(), digest),
+            (347, 0xb94d_23f9_7be9_8998),
+            "{:?}",
+            trace.last()
+        );
     }
 }

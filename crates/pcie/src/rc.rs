@@ -93,25 +93,30 @@ impl RootComplex {
     }
 
     /// The CPU performed an MMIO write (doorbell ring or PIO chunk) that
-    /// must become a downstream MWr TLP. Returns the departure action if
-    /// credits allow; otherwise the TLP queues until [`Self::on_update_fc`].
-    pub fn mmio_write(&mut self, now: SimTime, tlp: Tlp) -> Vec<RcAction> {
+    /// must become a downstream MWr TLP. Appends the departure action to
+    /// `out` if credits allow; otherwise the TLP queues until
+    /// [`Self::on_update_fc_into`].
+    pub fn mmio_write_into(&mut self, now: SimTime, tlp: Tlp, out: &mut Vec<RcAction>) {
         debug_assert_eq!(tlp.kind, TlpKind::MemWrite);
         if self.pending.is_empty() && self.fc_down.consume(&tlp).is_ok() {
             self.immediate_issues += 1;
-            vec![RcAction::SendTlp { depart: now, tlp }]
+            out.push(RcAction::SendTlp { depart: now, tlp });
         } else {
             self.stalled_issues += 1;
             self.pending.push_back(tlp);
-            Vec::new()
         }
     }
 
     /// An UpdateFC DLLP arrived from the NIC: replenish credits and release
-    /// as many stalled TLPs as now fit.
-    pub fn on_update_fc(&mut self, now: SimTime, hdr: u32, data: u32) -> Vec<RcAction> {
+    /// as many stalled TLPs as now fit, appending their departures to `out`.
+    pub fn on_update_fc_into(
+        &mut self,
+        now: SimTime,
+        hdr: u32,
+        data: u32,
+        out: &mut Vec<RcAction>,
+    ) {
         self.fc_down.replenish(hdr, data);
-        let mut out = Vec::new();
         while let Some(tlp) = self.pending.front() {
             if self.fc_down.consume(tlp).is_ok() {
                 let tlp = self.pending.pop_front().expect("front exists");
@@ -120,16 +125,16 @@ impl RootComplex {
                 break;
             }
         }
-        out
     }
 
-    /// An upstream TLP (from the NIC) arrived at the RC. Generates the
-    /// data-link ACK, credit updates, and the transaction-layer response.
-    pub fn on_upstream_tlp(&mut self, now: SimTime, tlp: Tlp) -> Vec<RcAction> {
-        let mut out = vec![RcAction::SendDllp {
+    /// An upstream TLP (from the NIC) arrived at the RC. Appends the
+    /// data-link ACK, credit updates, and the transaction-layer response
+    /// to `out`.
+    pub fn on_upstream_tlp_into(&mut self, now: SimTime, tlp: Tlp, out: &mut Vec<RcAction>) {
+        out.push(RcAction::SendDllp {
             depart: now,
             dllp: Dllp::Ack { up_to: tlp.id },
-        }];
+        });
         if let Some((h, d)) = self.fc_up_recv.drain(&tlp) {
             out.push(RcAction::SendDllp {
                 depart: now,
@@ -157,7 +162,6 @@ impl RootComplex {
                 debug_assert!(false, "unexpected CplD at RC");
             }
         }
-        out
     }
 
     /// True if no MMIO write ever waited for credits — the invariant the
@@ -183,12 +187,30 @@ mod tests {
         Tlp::pio_chunk(id)
     }
 
+    fn mmio_write(rc: &mut RootComplex, now: SimTime, tlp: Tlp) -> Vec<RcAction> {
+        let mut out = Vec::new();
+        rc.mmio_write_into(now, tlp, &mut out);
+        out
+    }
+
+    fn on_update_fc(rc: &mut RootComplex, now: SimTime, hdr: u32, data: u32) -> Vec<RcAction> {
+        let mut out = Vec::new();
+        rc.on_update_fc_into(now, hdr, data, &mut out);
+        out
+    }
+
+    fn on_upstream_tlp(rc: &mut RootComplex, now: SimTime, tlp: Tlp) -> Vec<RcAction> {
+        let mut out = Vec::new();
+        rc.on_upstream_tlp_into(now, tlp, &mut out);
+        out
+    }
+
     #[test]
     fn mmio_write_departs_immediately_with_credits() {
         let mut rc = RootComplex::new();
         let t = SimTime::from_ns(100);
         let tlp = mwr(&mut rc);
-        let actions = rc.mmio_write(t, tlp);
+        let actions = mmio_write(&mut rc, t, tlp);
         assert_eq!(actions, vec![RcAction::SendTlp { depart: t, tlp }]);
         assert!(rc.never_stalled());
     }
@@ -199,15 +221,15 @@ mod tests {
         let mut rc = RootComplex::with_flow_control(FlowControl::new(2, 64, 1));
         let t = SimTime::from_ns(10);
         let t1 = mwr(&mut rc);
-        assert_eq!(rc.mmio_write(t, t1).len(), 1);
+        assert_eq!(mmio_write(&mut rc, t, t1).len(), 1);
         let t2 = mwr(&mut rc);
-        assert_eq!(rc.mmio_write(t, t2).len(), 1);
+        assert_eq!(mmio_write(&mut rc, t, t2).len(), 1);
         let stalled = mwr(&mut rc);
-        assert!(rc.mmio_write(t, stalled).is_empty());
+        assert!(mmio_write(&mut rc, t, stalled).is_empty());
         assert!(!rc.never_stalled());
         // UpdateFC releases it at the arrival time of the DLLP.
         let t2 = SimTime::from_ns(200);
-        let released = rc.on_update_fc(t2, 1, 4);
+        let released = on_update_fc(&mut rc, t2, 1, 4);
         assert_eq!(
             released,
             vec![RcAction::SendTlp {
@@ -222,16 +244,16 @@ mod tests {
         let mut rc = RootComplex::with_flow_control(FlowControl::new(1, 64, 1));
         let t = SimTime::from_ns(1);
         let first = mwr(&mut rc);
-        rc.mmio_write(t, first);
+        mmio_write(&mut rc, t, first);
         let a = mwr(&mut rc);
         let b = mwr(&mut rc);
-        rc.mmio_write(t, a);
-        rc.mmio_write(t, b);
+        mmio_write(&mut rc, t, a);
+        mmio_write(&mut rc, t, b);
         // hdr_limit is 1, so each UpdateFC releases exactly one stalled TLP,
         // in FIFO order.
         let mut ids: Vec<TlpId> = Vec::new();
         for ns in [50u64, 90] {
-            for act in rc.on_update_fc(SimTime::from_ns(ns), 1, 4) {
+            for act in on_update_fc(&mut rc, SimTime::from_ns(ns), 1, 4) {
                 match act {
                     RcAction::SendTlp { tlp, .. } => ids.push(tlp.id),
                     other => panic!("unexpected {other:?}"),
@@ -246,7 +268,7 @@ mod tests {
         let mut rc = RootComplex::new();
         let t = SimTime::from_ns(1000);
         let cqe = Tlp::cqe_write(TlpId(77));
-        let actions = rc.on_upstream_tlp(t, cqe);
+        let actions = on_upstream_tlp(&mut rc, t, cqe);
         assert!(matches!(
             actions[0],
             RcAction::SendDllp {
@@ -271,7 +293,7 @@ mod tests {
         let mut rc = RootComplex::new();
         let t = SimTime::from_ns(500);
         let rd = Tlp::payload_fetch(TlpId(5), 256);
-        let actions = rc.on_upstream_tlp(t, rd);
+        let actions = on_upstream_tlp(&mut rc, t, rd);
         let (depart, cpl) = actions
             .iter()
             .find_map(|a| match a {
@@ -291,8 +313,7 @@ mod tests {
         let t = SimTime::from_ns(1);
         for i in 0..50u64 {
             let tlp = Tlp::payload_deliver(TlpId(i), 8);
-            let acks = rc
-                .on_upstream_tlp(t, tlp)
+            let acks = on_upstream_tlp(&mut rc, t, tlp)
                 .into_iter()
                 .filter(|a| {
                     matches!(

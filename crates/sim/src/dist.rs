@@ -123,13 +123,46 @@ fn build_table(sigma: f64, floor_frac: f64) -> [f64; TABLE_LEN] {
     t
 }
 
-/// Resolve the table for a profile. Tables are built once per process and
-/// leaked (a handful of profiles exist per run), registered under the bit
-/// patterns of `(sigma, floor_frac)`, and memoized thread-locally so the
-/// per-draw path is an unsynchronized scan of a few entries — no lock to
-/// bounce between worker-pool threads.
+/// Registry key of a profile: the bit patterns of `(sigma, floor_frac)`.
+type ProfileKey = (u64, u64);
+
+/// The key of a shipped log-normal profile, resolved at compile time.
+const fn shipped_key(j: Jitter) -> ProfileKey {
+    match j {
+        Jitter::LogNormal { sigma, floor_frac } => (sigma.to_bits(), floor_frac.to_bits()),
+        Jitter::Fixed => panic!("the fixed profile has no table"),
+    }
+}
+
+const CPU_KEY: ProfileKey = shipped_key(Jitter::cpu_default());
+const HW_KEY: ProfileKey = shipped_key(Jitter::hw_default());
+
+/// Resolve the table for a profile. The two shipped profiles (every draw
+/// on the live stack) are resolved once per process into a `OnceLock`
+/// each, so their per-draw cost is one atomic load; any other profile
+/// scans the thread-local memo of [`registered_table`].
+#[inline]
 fn lookup_table(sigma: f64, floor_frac: f64) -> &'static [f64; TABLE_LEN] {
-    type Entry = ((u64, u64), &'static [f64; TABLE_LEN]);
+    static CPU: OnceLock<&'static [f64; TABLE_LEN]> = OnceLock::new();
+    static HW: OnceLock<&'static [f64; TABLE_LEN]> = OnceLock::new();
+    let key = (sigma.to_bits(), floor_frac.to_bits());
+    let shipped = if key == CPU_KEY {
+        &CPU
+    } else if key == HW_KEY {
+        &HW
+    } else {
+        return registered_table(sigma, floor_frac);
+    };
+    shipped.get_or_init(|| registered_table(sigma, floor_frac))
+}
+
+/// The registry behind [`lookup_table`]. Tables are built once per
+/// process and leaked (a handful of profiles exist per run), registered
+/// under their [`ProfileKey`], and memoized thread-locally so the lookup
+/// is an unsynchronized scan of a few entries — no lock to bounce between
+/// worker-pool threads.
+fn registered_table(sigma: f64, floor_frac: f64) -> &'static [f64; TABLE_LEN] {
+    type Entry = (ProfileKey, &'static [f64; TABLE_LEN]);
     thread_local! {
         static LOCAL: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
     }
@@ -445,6 +478,24 @@ mod tests {
         }
         assert!(t.iter().all(|&m| m >= 0.70), "floor not applied in table");
         assert!(t[TABLE_LEN - 1] > 1.5, "upper tail missing");
+    }
+
+    #[test]
+    fn shipped_profiles_resolve_to_the_registered_tables() {
+        // The once-resolved fast path must hand out the very table the
+        // registry holds, on every thread.
+        for j in [Jitter::cpu_default(), Jitter::hw_default()] {
+            let Jitter::LogNormal { sigma, floor_frac } = j else {
+                unreachable!("shipped profiles are log-normal");
+            };
+            let here = lookup_table(sigma, floor_frac);
+            let there = std::thread::spawn(move || lookup_table(sigma, floor_frac))
+                .join()
+                .expect("lookup thread panicked");
+            assert!(std::ptr::eq(here, registered_table(sigma, floor_frac)));
+            assert!(std::ptr::eq(here, there));
+            assert_eq!(*here, build_table(sigma, floor_frac));
+        }
     }
 
     #[test]

@@ -16,46 +16,9 @@
 //! observe hardware state (e.g. polling a completion queue), which is
 //! precisely what a real core does when it loads a CQ entry from memory.
 
+use crate::hash::IdSet;
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::HashSet;
-
-/// An event scheduled at a virtual time. Equal-time events preserve
-/// insertion order (`seq`), so the simulation is deterministic. Orders
-/// naturally: earliest `(at, seq)` first.
-#[derive(Debug, Clone)]
-pub struct ScheduledEvent<E> {
-    /// When the event fires.
-    pub at: SimTime,
-    seq: u64,
-    /// The payload delivered to the handler.
-    pub event: E,
-}
-
-impl<E> ScheduledEvent<E> {
-    /// The total-order key: time, then insertion sequence.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
+use std::fmt::Debug;
 
 /// Children per node of the implicit heap. A 4-ary layout halves the tree
 /// depth of a binary heap, and all four children of a node share one or
@@ -72,16 +35,40 @@ const ARITY: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventKey(u64);
 
+/// One heap entry: the event's order key and the slab slot holding its
+/// payload. 24 bytes whatever the payload type, so a sift moves three
+/// words per level instead of the whole event.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    at: SimTime,
+    seq: u64,
+    slot: usize,
+}
+
+impl HeapEntry {
+    /// The total-order key: time, then insertion sequence, as one integer.
+    #[inline]
+    fn key(&self) -> u128 {
+        (self.at.as_ps() as u128) << 64 | self.seq as u128
+    }
+}
+
 /// A total-ordered, FIFO-stable event queue over payload type `E`.
 ///
-/// Internally an indexed 4-ary min-heap on `(time, seq)` in a flat `Vec`.
-/// [`EventQueue::pop_due`] inspects the root key exactly once per call —
-/// there is no peek-then-pop double traversal — and the hot path never
-/// allocates once the backing vector has grown to the simulation's
-/// high-water mark.
+/// Internally an indexed 4-ary min-heap of [`HeapEntry`] keys on
+/// `(time, seq)` in a flat `Vec`, with payloads parked in a slab whose
+/// slots are recycled through a free list. [`EventQueue::pop_due`]
+/// inspects the root key exactly once per call — there is no
+/// peek-then-pop double traversal — and the hot path never allocates once
+/// heap, slab and free list have grown to the simulation's high-water
+/// mark.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: Vec<ScheduledEvent<E>>,
+    heap: Vec<HeapEntry>,
+    /// Payloads by slot; `None` marks a free slot.
+    slots: Vec<Option<E>>,
+    /// Free slots, reused last-in first-out.
+    free: Vec<usize>,
     next_seq: u64,
     /// Time of the most recently popped event; pushes earlier than this are
     /// causality violations and panic.
@@ -91,7 +78,7 @@ pub struct EventQueue<E> {
     /// lazily at the root during pops, and eagerly purged whenever the
     /// tombstones outnumber live entries, so long lossy runs with frequent
     /// RTO timer resets keep the heap at O(live events).
-    cancelled: HashSet<u64>,
+    cancelled: IdSet<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -105,10 +92,12 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             watermark: SimTime::ZERO,
             total_fired: 0,
-            cancelled: HashSet::new(),
+            cancelled: IdSet::default(),
         }
     }
 
@@ -117,22 +106,38 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// If `at` is earlier than the last popped event's time (an effect
-    /// scheduled before its cause).
-    pub fn push(&mut self, at: SimTime, event: E) -> EventKey {
+    /// scheduled before its cause). The message names the event.
+    pub fn push(&mut self, at: SimTime, event: E) -> EventKey
+    where
+        E: Debug,
+    {
         assert!(
             at >= self.watermark,
-            "causality violation: scheduling at {at} behind watermark {}",
+            "causality violation: scheduling {event:?} at {at} behind watermark {}",
             self.watermark
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(HeapEntry { at, seq, slot });
         self.sift_up(self.heap.len() - 1);
         EventKey(seq)
     }
 
     /// Schedule `event` to fire `after` from `from`.
-    pub fn push_after(&mut self, from: SimTime, after: SimDuration, event: E) -> EventKey {
+    pub fn push_after(&mut self, from: SimTime, after: SimDuration, event: E) -> EventKey
+    where
+        E: Debug,
+    {
         self.push(from + after, event)
     }
 
@@ -153,13 +158,23 @@ impl<E> EventQueue<E> {
         newly
     }
 
-    /// Drop every tombstoned entry and restore the heap in O(n).
+    /// Drop every tombstoned entry, free its slot, and restore the heap in
+    /// O(n).
     fn purge(&mut self) {
         if self.cancelled.is_empty() {
             return;
         }
         let cancelled = std::mem::take(&mut self.cancelled);
-        self.heap.retain(|e| !cancelled.contains(&e.seq));
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        self.heap.retain(|e| {
+            if cancelled.contains(&e.seq) {
+                slots[e.slot] = None;
+                free.push(e.slot);
+                false
+            } else {
+                true
+            }
+        });
         // Floyd heapify: sift parents bottom-up.
         if self.heap.len() > 1 {
             for i in (0..=(self.heap.len() - 2) / ARITY).rev() {
@@ -179,23 +194,28 @@ impl<E> EventQueue<E> {
     /// tombstones blocking the root.
     pub fn next_live_time(&mut self) -> Option<SimTime> {
         loop {
-            let root = self.heap.first()?;
+            let root = *self.heap.first()?;
             if !self.cancelled.contains(&root.seq) {
                 return Some(root.at);
             }
-            self.drop_root();
+            self.take_root();
+            self.cancelled.remove(&root.seq);
         }
     }
 
-    /// Remove the root entry without delivering it (tombstone drain).
-    fn drop_root(&mut self) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let ev = self.heap.pop().expect("root exists");
+    /// Remove the root entry and return its payload, freeing its slot.
+    #[inline]
+    fn take_root(&mut self) -> E {
+        let root = self.heap[0];
+        let last = self.heap.pop().expect("root exists");
         if !self.heap.is_empty() {
+            self.heap[0] = last;
             self.sift_down(0);
         }
-        self.cancelled.remove(&ev.seq);
+        self.free.push(root.slot);
+        self.slots[root.slot]
+            .take()
+            .expect("heap entries own a filled slot")
     }
 
     /// Pop the earliest live event if it is due at or before `limit`.
@@ -205,23 +225,17 @@ impl<E> EventQueue<E> {
     /// encountered at the root are drained silently.
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         loop {
-            let root = self.heap.first()?;
+            let root = *self.heap.first()?;
             if root.at > limit {
                 return None;
             }
-            if self.cancelled.contains(&root.seq) {
-                self.drop_root();
+            let event = self.take_root();
+            if !self.cancelled.is_empty() && self.cancelled.remove(&root.seq) {
                 continue;
             }
-            let last = self.heap.len() - 1;
-            self.heap.swap(0, last);
-            let ev = self.heap.pop().expect("root exists");
-            if !self.heap.is_empty() {
-                self.sift_down(0);
-            }
-            self.watermark = ev.at;
+            self.watermark = root.at;
             self.total_fired += 1;
-            return Some((ev.at, ev.event));
+            return Some((root.at, event));
         }
     }
 
@@ -246,24 +260,31 @@ impl<E> EventQueue<E> {
         n
     }
 
-    /// Restore the heap property upward from `i` after a push.
+    /// Restore the heap property upward from `i` after a push, moving
+    /// parents down into the hole and writing the entry once at the end.
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        let key = entry.key();
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
+            if key < self.heap[parent].key() {
+                self.heap[i] = self.heap[parent];
                 i = parent;
             } else {
                 break;
             }
         }
+        self.heap[i] = entry;
     }
 
-    /// Restore the heap property downward from `i` after a root removal.
+    /// Restore the heap property downward from `i` after a root removal,
+    /// moving the smallest child up into the hole at each level.
     #[inline]
     fn sift_down(&mut self, mut i: usize) {
         let len = self.heap.len();
+        let entry = self.heap[i];
+        let key = entry.key();
         loop {
             let first = ARITY * i + 1;
             if first >= len {
@@ -271,18 +292,22 @@ impl<E> EventQueue<E> {
             }
             // Smallest of up to ARITY children.
             let mut min = first;
+            let mut min_key = self.heap[first].key();
             for c in (first + 1)..(first + ARITY).min(len) {
-                if self.heap[c].key() < self.heap[min].key() {
+                let k = self.heap[c].key();
+                if k < min_key {
                     min = c;
+                    min_key = k;
                 }
             }
-            if self.heap[min].key() < self.heap[i].key() {
-                self.heap.swap(i, min);
+            if min_key < key {
+                self.heap[i] = self.heap[min];
                 i = min;
             } else {
                 break;
             }
         }
+        self.heap[i] = entry;
     }
 
     /// Pop the earliest event unconditionally.
@@ -301,7 +326,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Physical heap occupancy including not-yet-drained tombstones
-    /// (diagnostics; bounded at `< 2 × len() + 1` by the purge policy).
+    /// (diagnostics; the purge policy leaves at most `2 × len()` when a
+    /// cancel returns).
     pub fn raw_len(&self) -> usize {
         self.heap.len()
     }
@@ -581,6 +607,37 @@ mod tests {
         assert_eq!(q.watermark(), SimTime::from_ns(9));
     }
 
+    #[test]
+    fn slab_slots_are_reused() {
+        // A steady state of at most N pending events must not grow the
+        // payload slab past N + 1 slots, however many events flow through.
+        const N: u64 = 37;
+        let mut q = EventQueue::new();
+        for i in 0..N {
+            q.push(SimTime::from_ns(i), i);
+        }
+        for i in 0..100_000u64 {
+            let (t, e) = q.pop().expect("N pending");
+            assert_eq!(e, i, "FIFO by time");
+            q.push(t + SimDuration::from_ns(N), e + N);
+        }
+        assert_eq!(q.len() as u64, N);
+        assert!(
+            q.slots.len() as u64 <= N + 1,
+            "slab grew to {}",
+            q.slots.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling \"late\" at 5.000 ns behind watermark 10.000 ns")]
+    fn causality_panic_names_the_event() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(10), "first");
+        q.pop();
+        q.push(SimTime::from_ns(5), "late");
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -588,38 +645,71 @@ mod tests {
         proptest! {
             #[test]
             fn interleaved_ops_match_reference_model(
-                ops in proptest::collection::vec((any::<bool>(), 0u64..50), 1..300)
+                ops in proptest::collection::vec((0u8..6, 0u64..50, any::<u64>()), 1..400)
             ) {
-                // Drive the 4-ary heap and a naive sorted-vec model with
-                // the same push/pop_due stream; they must agree exactly.
+                // Drive the queue and a naive sorted-vec model with the
+                // same push / pop_due / cancel / pop_batch / next_live_time
+                // stream; they must agree exactly. Payloads are random words
+                // unrelated to the sequence numbers, so a slab slot handed
+                // to the wrong entry shows.
                 let mut q = EventQueue::new();
-                let mut model: Vec<(SimTime, u64)> = Vec::new();
+                // (at, seq, payload, key) of every live event.
+                let mut model: Vec<(SimTime, u64, u64, EventKey)> = Vec::new();
                 let mut watermark = SimTime::ZERO;
                 let mut seq = 0u64;
-                for (is_pop, t) in ops {
-                    if is_pop {
-                        let limit = watermark + SimDuration::from_ns(t);
-                        let got = q.pop_due(limit);
-                        model.sort();
-                        let want = match model.first() {
-                            Some(&(at, s)) if at <= limit => {
-                                model.remove(0);
-                                Some((at, s))
-                            }
-                            _ => None,
-                        };
-                        prop_assert_eq!(got, want);
-                        if let Some((at, _)) = want {
-                            watermark = at;
+                let mut peak_raw = 0usize;
+                for (op, t, word) in ops {
+                    model.sort_by_key(|&(at, s, _, _)| (at, s));
+                    let limit = watermark + SimDuration::from_ns(t);
+                    match op {
+                        0 | 1 => {
+                            let key = q.push(limit, word);
+                            model.push((limit, seq, word, key));
+                            seq += 1;
                         }
-                    } else {
-                        let at = watermark + SimDuration::from_ns(t);
-                        q.push(at, seq);
-                        model.push((at, seq));
-                        seq += 1;
+                        2 => {
+                            let want = match model.first() {
+                                Some(&(at, _, w, _)) if at <= limit => {
+                                    model.remove(0);
+                                    watermark = at;
+                                    Some((at, w))
+                                }
+                                _ => None,
+                            };
+                            prop_assert_eq!(q.pop_due(limit), want);
+                        }
+                        3 if !model.is_empty() => {
+                            let (_, _, _, key) = model.remove(word as usize % model.len());
+                            prop_assert!(q.cancel(key));
+                        }
+                        4 => {
+                            let mut want = Vec::new();
+                            if let Some(&(first, ..)) = model.first() {
+                                if first <= limit {
+                                    while model.first().is_some_and(|e| e.0 == first) {
+                                        let (at, _, w, _) = model.remove(0);
+                                        want.push((at, w));
+                                    }
+                                    watermark = first;
+                                }
+                            }
+                            let mut got = Vec::new();
+                            prop_assert_eq!(q.pop_batch(limit, &mut got), want.len());
+                            prop_assert_eq!(got, want);
+                        }
+                        _ => {
+                            prop_assert_eq!(q.next_live_time(), model.first().map(|e| e.0));
+                        }
                     }
+                    prop_assert_eq!(q.len(), model.len());
+                    peak_raw = peak_raw.max(q.raw_len());
+                    prop_assert!(q.slots.len() <= peak_raw, "slab outgrew the heap");
+                    prop_assert_eq!(q.watermark(), watermark);
                 }
-                prop_assert_eq!(q.len(), model.len());
+                model.sort_by_key(|&(at, s, _, _)| (at, s));
+                let rest: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+                let want: Vec<(SimTime, u64)> = model.iter().map(|&(at, _, w, _)| (at, w)).collect();
+                prop_assert_eq!(rest, want);
             }
 
             #[test]

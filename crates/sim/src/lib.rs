@@ -15,6 +15,8 @@
 //!   tail the paper observes (Figure 7: max ≈ 34.9 µs vs. mean ≈ 282 ns).
 //! * [`engine::EventQueue`] — a total-ordered, FIFO-stable event queue used
 //!   by the hardware-side models (root complex, NIC, fabric).
+//! * [`hash::IdMap`] / [`hash::IdSet`] — maps and sets keyed by
+//!   simulator-minted ids, hashed with one multiply instead of SipHash.
 //! * [`engine::CpuClock`] — the software side of the hybrid simulation: MPI /
 //!   UCP / UCT code paths execute sequentially on a CPU clock while hardware
 //!   progresses through queued events, which is exactly how the paper's
@@ -22,13 +24,15 @@
 
 pub mod dist;
 pub mod engine;
+pub mod hash;
 pub mod pool;
 pub mod rng;
 pub mod stall;
 pub mod time;
 
 pub use dist::{Jitter, NoiseSpike};
-pub use engine::{CpuClock, EventKey, EventQueue, ScheduledEvent};
+pub use engine::{CpuClock, EventKey, EventQueue};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use pool::WorkerPool;
 pub use rng::Pcg64;
 pub use stall::StallSchedule;

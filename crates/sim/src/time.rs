@@ -119,7 +119,7 @@ impl SimDuration {
             ns.is_finite() && ns >= 0.0,
             "durations must be finite and non-negative, got {ns}"
         );
-        SimDuration((ns * PS_PER_NS as f64).round() as u64)
+        SimDuration(round_ps(ns * PS_PER_NS as f64))
     }
 
     /// Raw picosecond count.
@@ -160,7 +160,7 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_ps(self.0 as f64 * factor))
     }
 
     /// Integer division of two spans (how many `rhs` fit in `self`),
@@ -178,6 +178,18 @@ impl SimDuration {
         assert!(!rhs.is_zero(), "ratio with zero-length denominator");
         self.0 as f64 / rhs.0 as f64
     }
+}
+
+/// `ps.round() as u64` for finite `ps >= 0`, without the libm call that
+/// `f64::round` compiles to on baseline x86-64 (no SSE4.1 `roundsd`).
+/// Exact: the truncation `t` is `floor(ps)`, and `ps - floor(ps)` is exact
+/// in binary floating point, so the half-way test sees the true fraction
+/// (`0.49999999999999994` stays below one half, unlike `floor(ps + 0.5)`).
+/// Above 2^64 the cast saturates, as `round() as u64` does.
+#[inline]
+fn round_ps(ps: f64) -> u64 {
+    let t = ps as u64;
+    t.saturating_add((ps - t as f64 >= 0.5) as u64)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -365,7 +377,35 @@ mod tests {
         assert!(a < b);
     }
 
+    #[test]
+    fn round_ps_matches_f64_round_at_the_edges() {
+        // Neighbouring f64s (positive, finite inputs only).
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut probes = vec![0.0, 0.49999999999999994, 0.5, 1.5, 2.5, 1e13 + 0.5];
+        for k in [0u64, 1, 2, 175_419, 1 << 20, (1 << 52) - 1] {
+            let half = k as f64 + 0.5;
+            probes.extend([half, up(half), down(half)]);
+        }
+        // At and above 2^52 every f64 is an integer; at and above 2^64
+        // both forms saturate.
+        for e in [52, 53, 63, 64, 65, 100] {
+            let x = 2f64.powi(e);
+            probes.extend([x, up(x), down(x), x + 1.0]);
+        }
+        probes.push(f64::MAX);
+        for x in probes {
+            assert_eq!(round_ps(x), x.round() as u64, "rounding {x:e}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn from_ns_f64_rounds_like_f64_round(ns in 0.0f64..1e13) {
+            let ps = ns * PS_PER_NS as f64;
+            prop_assert_eq!(SimDuration::from_ns_f64(ns).as_ps(), ps.round() as u64);
+        }
+
         #[test]
         fn add_sub_roundtrip(t in 0u64..1u64<<60, d in 0u64..1u64<<60) {
             let time = SimTime::from_ps(t);
