@@ -1,7 +1,9 @@
-//! Flow-level collectives over [`ClusterFabric`]: the `mpi` crate's
-//! barrier/bcast/allreduce schedules (plus a bandwidth-optimal ring
-//! allreduce), driven as synchronous communication rounds across
-//! hundreds to thousands of simulated ranks.
+//! Flow-level collectives over [`ClusterFabric`]: the shared
+//! [`bband_fabric::schedule`] (dissemination barrier, binomial bcast,
+//! folded recursive-doubling allreduce — the schedules `bband-mpi` runs
+//! packet by packet — plus a bandwidth-optimal ring allreduce), driven as
+//! synchronous communication rounds across hundreds to thousands of
+//! simulated ranks. One schedule step is one round.
 //!
 //! Where `bband-mpi` runs a handful of ranks through the full per-packet
 //! NIC/transport pipeline, this driver models each rank as an endpoint
@@ -17,7 +19,7 @@
 //! byte-identical.
 
 use crate::flow::{ClusterFabric, Delivery, ResolvedHop, MAX_ROUTE_HOPS};
-use bband_fabric::segmented_wire_bytes;
+use bband_fabric::{segmented_wire_bytes, Schedule};
 use bband_metrics as metrics;
 use bband_sim::{SimDuration, SimTime};
 use bband_trace as trace;
@@ -31,7 +33,7 @@ pub enum FlowCollective {
     /// Binomial-tree broadcast from rank 0 of a `bytes`-sized payload.
     Bcast { bytes: u32 },
     /// Recursive-doubling allreduce with the MPICH non-power-of-two
-    /// fold (the schedule `bband-mpi` runs packet-level).
+    /// fold.
     AllreduceRd { bytes: u32 },
     /// Ring allreduce: `2(n-1)` steps of `bytes/n` chunks — the
     /// bandwidth-optimal schedule large-message collectives use.
@@ -192,6 +194,8 @@ impl Scratch {
             v.clear();
             v.resize(n as usize, SimTime::ZERO);
         }
+        let schedule = coll.schedule();
+        let bytes = coll.message_bytes(n);
         let invariant = coll.round_invariant();
         let replaying = path == CollectivePath::Fast
             && invariant
@@ -199,20 +203,20 @@ impl Scratch {
             && !trace::enabled()
             && !metrics::windowed();
         if invariant {
-            round_schedule_into(n, coll, 0, xfers);
+            round_schedule_into(n, schedule, bytes, 0, xfers);
         }
         if replaying {
             replay.prepare(fab, xfers);
         }
 
-        let rounds = round_count(n, coll);
+        let rounds = schedule.steps(n);
         let mut messages = 0u64;
         let mut bisection_bytes = 0u64;
         let half = n / 2;
         let crosses = |x: Xfer| (x.src < half) != (x.dst < half);
         for r in 0..rounds {
             if !invariant {
-                round_schedule_into(n, coll, r, xfers);
+                round_schedule_into(n, schedule, bytes, r, xfers);
             }
             debug_assert!(!xfers.is_empty(), "round {r} of {} is empty", coll.name());
             recv_at.fill(SimTime::ZERO);
@@ -561,117 +565,37 @@ impl FlowCollective {
     fn round_invariant(&self) -> bool {
         matches!(self, FlowCollective::AllreduceRing { .. })
     }
-}
 
-/// Rounds `coll` takes on `n` ranks.
-fn round_count(n: u32, coll: FlowCollective) -> u32 {
-    let log2_ceil = n.next_power_of_two().trailing_zeros();
-    match coll {
-        FlowCollective::Barrier | FlowCollective::Bcast { .. } => log2_ceil,
-        FlowCollective::AllreduceRd { .. } => {
-            if n.is_power_of_two() {
-                log2_ceil
-            } else {
-                // Fold, the core rounds of the largest power of two
-                // below n, redistribute.
-                (log2_ceil - 1) + 2
+    /// The communication schedule this collective runs.
+    fn schedule(&self) -> Schedule {
+        match self {
+            FlowCollective::Barrier => Schedule::Dissemination,
+            FlowCollective::Bcast { .. } => Schedule::Binomial { root: 0 },
+            FlowCollective::AllreduceRd { .. } => Schedule::RecursiveDoubling,
+            FlowCollective::AllreduceRing { .. } => Schedule::Ring,
+        }
+    }
+
+    /// Bytes each message of the collective carries on `n` ranks: 8-byte
+    /// barrier tokens, the whole payload, or one ring chunk.
+    fn message_bytes(&self, n: u32) -> u32 {
+        match *self {
+            FlowCollective::Barrier => 8,
+            FlowCollective::Bcast { bytes } | FlowCollective::AllreduceRd { bytes } => bytes,
+            FlowCollective::AllreduceRing { bytes } => {
+                (bytes as u64).div_ceil(n as u64).max(1) as u32
             }
         }
-        FlowCollective::AllreduceRing { .. } => 2 * (n - 1),
     }
 }
 
-/// Fill `out` with the transfers of round `r < round_count(n, coll)`.
-fn round_schedule_into(n: u32, coll: FlowCollective, r: u32, out: &mut Vec<Xfer>) {
+/// Fill `out` with the transfers of step `r` of `schedule` on `n` ranks,
+/// in rank order.
+fn round_schedule_into(n: u32, schedule: Schedule, bytes: u32, r: u32, out: &mut Vec<Xfer>) {
     out.clear();
-    match coll {
-        FlowCollective::Barrier => {
-            let dist = 1u32 << r;
-            out.extend((0..n).map(|i| Xfer {
-                src: i,
-                dst: (i + dist) % n,
-                bytes: 8,
-            }));
-        }
-        FlowCollective::Bcast { bytes } => {
-            let dist = 1u32 << r;
-            out.extend((0..n).filter(|&i| i < dist && i + dist < n).map(|i| Xfer {
-                src: i,
-                dst: i + dist,
-                bytes,
-            }));
-        }
-        FlowCollective::AllreduceRd { bytes } => allreduce_rd_round(n, bytes, r, out),
-        FlowCollective::AllreduceRing { bytes } => {
-            let chunk = (bytes as u64).div_ceil(n as u64).max(1) as u32;
-            out.extend((0..n).map(|i| Xfer {
-                src: i,
-                dst: (i + 1) % n,
-                bytes: chunk,
-            }));
-        }
-    }
-}
-
-/// Recursive doubling with the MPICH fold, mirroring
-/// `bband_mpi::run_collective`: a pre-round folds the `n - pow` excess
-/// ranks onto even partners, `log2(pow)` core rounds exchange among the
-/// power-of-two survivors, and a post-round redistributes the result.
-fn allreduce_rd_round(n: u32, bytes: u32, r: u32, out: &mut Vec<Xfer>) {
-    let pow = if n.is_power_of_two() {
-        n
-    } else {
-        n.next_power_of_two() / 2
-    };
-    let rem = n - pow;
-    let pre = u32::from(rem > 0);
-    let core = pow.trailing_zeros();
-    debug_assert!(r < core + 2 * pre);
-    if pre == 1 && r == 0 {
-        // Fold: each odd rank below 2*rem contributes to its even peer.
-        out.extend((0..n).filter(|i| i % 2 == 1 && *i < 2 * rem).map(|i| Xfer {
-            src: i,
-            dst: i - 1,
-            bytes,
-        }));
-        return;
-    }
-    if pre == 1 && r == core + 1 {
-        // Redistribute the reduced result back to the folded ranks.
-        out.extend((0..n).filter(|i| i % 2 == 0 && *i < 2 * rem).map(|i| Xfer {
-            src: i,
-            dst: i + 1,
-            bytes,
-        }));
-        return;
-    }
-    let rr = r - pre;
-    let vrank = |i: u32| -> Option<u32> {
-        if i < 2 * rem {
-            if i.is_multiple_of(2) {
-                Some(i / 2)
-            } else {
-                None
-            }
-        } else {
-            Some(i - rem)
-        }
-    };
-    let unvrank = |v: u32| -> u32 {
-        if v < rem {
-            2 * v
-        } else {
-            v + rem
-        }
-    };
-    out.extend((0..n).filter_map(|i| {
-        let v = vrank(i)?;
-        let peer = unvrank(v ^ (1 << rr));
-        Some(Xfer {
-            src: i,
-            dst: peer,
-            bytes,
-        })
+    out.extend((0..n).filter_map(|src| {
+        let dst = schedule.step(n, src, r).send_to?;
+        Some(Xfer { src, dst, bytes })
     }));
 }
 

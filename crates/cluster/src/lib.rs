@@ -19,8 +19,10 @@
 //!   egress arbitration, ECN marks fed back to injecting NICs.
 //! - [`collective`]: synchronous-round drivers for barrier, binomial
 //!   bcast, recursive-doubling allreduce (with the MPICH fold), and
-//!   ring allreduce, whose certainly-clean walks of isolated pairs are
-//!   skipped (isolated-pair replay, byte-identical to walking them).
+//!   ring allreduce over the shared [`bband_fabric::schedule`] (the one
+//!   `bband-mpi` runs packet by packet); the ring's certainly-clean
+//!   walks of isolated pairs are skipped (isolated-pair replay,
+//!   byte-identical to walking them).
 //! - [`telemetry`]: deterministic per-port time-series (utilization,
 //!   queue/credit stalls, ECN, occupancy gauges) and flow-level path
 //!   attribution over [`ClusterFabric`] — the sensor layer behind

@@ -31,7 +31,6 @@ pub mod hlp_breakdown;
 pub mod injection;
 pub mod insights;
 pub mod latency;
-pub mod lockmodel;
 pub mod profiles;
 pub mod scaling;
 pub mod tracepath;
@@ -46,7 +45,6 @@ pub use latency::{
     Category, EndToEndLatencyModel, LlpLatencyModel, Protocol, SizedLatencyModel,
     INLINE_CUTOFF_BYTES, MTU_BYTES, RNDV_CTRL_BYTES,
 };
-pub use lockmodel::{LockGranularity, LockModel};
 pub use scaling::ScalingModel;
 pub use tracepath::{
     sweep_message_sizes, traced_e2e, traced_injection, traced_loss_sweep, SizeSweepPoint,

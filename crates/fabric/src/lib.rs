@@ -12,12 +12,14 @@
 
 pub mod packet;
 pub mod reliability;
+pub mod schedule;
 pub mod switch;
 pub mod topology;
 pub mod wire;
 
 pub use packet::{segmented_wire_bytes, NodeId, Packet, PacketId, PacketKind, IB_HEADER_BYTES};
 pub use reliability::{LossyFabric, Psn, RcReceiver, RcSender, RcVerdict};
+pub use schedule::{Schedule, Step};
 pub use switch::SwitchModel;
 pub use topology::{NetworkModel, Topology};
 pub use wire::WireModel;

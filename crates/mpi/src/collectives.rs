@@ -1,19 +1,12 @@
 //! Collectives — "UCP implements high-level communication protocols such
 //! as collectives" (§5). Three classic small-message algorithms built on
 //! the point-to-point layer, plus the multi-rank co-simulation driver that
-//! runs them:
-//!
-//! * **barrier** — dissemination: ⌈log₂N⌉ rounds, in round *r* rank *i*
-//!   sends to *(i + 2^r) mod N* and receives from *(i − 2^r) mod N*;
-//! * **broadcast** — binomial tree from the root;
-//! * **allreduce** — recursive doubling (pairwise exchange with *i ⊕ 2^r*).
-//!
-//! All three accept arbitrary rank counts ≥ 2. Dissemination and the
-//! binomial tree generalize directly; recursive doubling uses the classic
-//! MPICH fold: with `N = pow + rem` (`pow` the largest power of two ≤ N),
-//! the first `2·rem` ranks pair up in a pre-step so `pow` representatives
-//! run the power-of-two core, then a post-step returns the result to the
-//! folded-out ranks.
+//! runs them: a dissemination **barrier** (1-byte tokens), a binomial-tree
+//! **broadcast** and a recursive-doubling **allreduce** (MPICH fold for
+//! non-power-of-two counts). Who sends to whom in each step comes from
+//! [`bband_fabric::schedule`], the schedule the flow-level driver in
+//! `bband-cluster` runs too; each step a rank posts its send, then its
+//! receive. All three accept arbitrary rank counts ≥ 2.
 //!
 //! The driver steps rank state machines in min-clock order against the
 //! shared hardware event queue, so no rank ever observes hardware from
@@ -22,7 +15,7 @@
 
 use crate::costs::MpiCosts;
 use crate::proc::{MpiProcess, MpiRequest, RequestState};
-use bband_fabric::{NetworkModel, NodeId};
+use bband_fabric::{NetworkModel, NodeId, Schedule};
 use bband_hlp::{UcpCosts, UcpWorker};
 use bband_llp::{LlpCosts, Worker};
 use bband_nic::{Cluster, NicConfig};
@@ -41,12 +34,24 @@ pub enum Collective {
     Allreduce { bytes: u32 },
 }
 
+impl Collective {
+    /// The communication schedule this collective runs.
+    fn schedule(self) -> Schedule {
+        match self {
+            Collective::Barrier => Schedule::Dissemination,
+            Collective::Bcast { root, .. } => Schedule::Binomial { root },
+            Collective::Allreduce { .. } => Schedule::RecursiveDoubling,
+        }
+    }
+}
+
 /// Result of one collective run.
 #[derive(Debug, Clone)]
 pub struct CollectiveReport {
     /// Virtual time from the start of the run to the last rank finishing.
     pub completion: SimTime,
-    /// Rounds executed (= ⌈log₂N⌉).
+    /// Steps executed ([`Schedule::steps`]: ⌈log₂N⌉, plus one for an
+    /// allreduce folded around a non-power-of-two count).
     pub rounds: u32,
     /// Recovery engagement observed by the cluster over the whole job so
     /// far (credit-starved RCs parking MMIO writes, Markov stall windows).
@@ -79,22 +84,12 @@ pub fn run_collective(
 ) -> CollectiveReport {
     let n = ranks.len() as u32;
     assert!(n >= 2, "a collective needs at least two ranks");
-    let rounds = n.next_power_of_two().trailing_zeros();
-    // Allreduce fold decomposition: `pow` representatives run the
-    // recursive-doubling core; the first `2*rem` ranks fold in/out around
-    // it (no-ops when N is a power of two).
-    let pow = if n.is_power_of_two() {
-        n
-    } else {
-        n.next_power_of_two() >> 1
+    let schedule = op.schedule();
+    let bytes = match op {
+        Collective::Barrier => 1,
+        Collective::Bcast { bytes, .. } | Collective::Allreduce { bytes } => bytes,
     };
-    let rem = n - pow;
-    let pre = u32::from(rem > 0);
-    let core = pow.trailing_zeros();
-    let steps = match op {
-        Collective::Barrier | Collective::Bcast { .. } => rounds,
-        Collective::Allreduce { .. } => core + 2 * pre,
-    };
+    let steps = schedule.steps(n);
     // The tag layout gives the step index 4 bits.
     assert!(steps <= 16, "collective steps exceed the tag layout");
     let start = ranks.iter().map(|r| r.now()).max().expect("ranks");
@@ -125,76 +120,14 @@ pub fn run_collective(
                     states[idx] = RankState::Done;
                     continue;
                 }
-                let mut reqs = Vec::new();
+                let step = schedule.step(n, rank_n, r);
                 let tag = base_tag << 4 | r as i64;
-                match op {
-                    Collective::Barrier => {
-                        // Dissemination: send to (i + 2^r), recv from (i - 2^r).
-                        let to = NodeId((rank_n + (1 << r)) % n);
-                        reqs.push(ranks[idx].isend(cluster, to, 1, tag, tap));
-                        reqs.push(ranks[idx].irecv(tag));
-                    }
-                    Collective::Bcast { root, bytes } => {
-                        // Binomial tree, root-relative rank.
-                        let vrank = (rank_n + n - root) % n;
-                        if vrank < (1 << r) {
-                            // Has the data: send to vrank + 2^r if in range.
-                            let peer_v = vrank + (1 << r);
-                            if peer_v < n {
-                                let to = NodeId((peer_v + root) % n);
-                                reqs.push(ranks[idx].isend(cluster, to, bytes, tag, tap));
-                            }
-                        } else if vrank < (1 << (r + 1)) {
-                            // Receives the data this round.
-                            reqs.push(ranks[idx].irecv(tag));
-                        }
-                    }
-                    Collective::Allreduce { bytes } => {
-                        if pre == 1 && r == 0 {
-                            // Fold-in: odd ranks below 2*rem hand their
-                            // contribution to the even neighbour, which
-                            // then represents the pair in the core.
-                            if rank_n < 2 * rem {
-                                if rank_n % 2 == 1 {
-                                    let to = NodeId(rank_n - 1);
-                                    reqs.push(ranks[idx].isend(cluster, to, bytes, tag, tap));
-                                } else {
-                                    reqs.push(ranks[idx].irecv(tag));
-                                }
-                            }
-                        } else if r < pre + core {
-                            // Recursive-doubling core over `pow` virtual
-                            // ranks: exchange with v ^ 2^rr.
-                            let rr = r - pre;
-                            let vrank = if rank_n < 2 * rem {
-                                rank_n.is_multiple_of(2).then_some(rank_n / 2)
-                            } else {
-                                Some(rank_n - rem)
-                            };
-                            if let Some(v) = vrank {
-                                let peer_v = v ^ (1 << rr);
-                                let peer = if peer_v < rem {
-                                    2 * peer_v
-                                } else {
-                                    peer_v + rem
-                                };
-                                let to = NodeId(peer);
-                                reqs.push(ranks[idx].isend(cluster, to, bytes, tag, tap));
-                                reqs.push(ranks[idx].irecv(tag));
-                            }
-                        } else {
-                            // Fold-out: the representative returns the
-                            // reduced vector to the rank that sat out.
-                            if rank_n < 2 * rem {
-                                if rank_n.is_multiple_of(2) {
-                                    let to = NodeId(rank_n + 1);
-                                    reqs.push(ranks[idx].isend(cluster, to, bytes, tag, tap));
-                                } else {
-                                    reqs.push(ranks[idx].irecv(tag));
-                                }
-                            }
-                        }
-                    }
+                let mut reqs = Vec::new();
+                if let Some(to) = step.send_to {
+                    reqs.push(ranks[idx].isend(cluster, NodeId(to), bytes, tag, tap));
+                }
+                if step.receives {
+                    reqs.push(ranks[idx].irecv(tag));
                 }
                 states[idx] = RankState::Waiting { round: r, reqs };
             }
@@ -234,7 +167,7 @@ pub fn run_collective(
     let end = ranks.iter().map(|r| r.now()).max().expect("ranks");
     CollectiveReport {
         completion: end,
-        rounds,
+        rounds: steps,
         counters: cluster.recovery_counters(),
     }
 }
@@ -515,7 +448,9 @@ mod tests {
         );
         assert_eq!(rep.rounds, 3, "5-rank binomial tree is ⌈log₂5⌉ deep");
 
-        for n in [3usize, 6] {
+        // Fold-in, the power-of-two core, fold-out: 1 + 1 + 1 steps on 3
+        // ranks, 1 + 2 + 1 on 6.
+        for (n, steps) in [(3usize, 3), (6, 4)] {
             let (mut cl, mut ranks) = setup(n);
             let rep = run_collective(
                 &mut cl,
@@ -526,6 +461,7 @@ mod tests {
             // Completion implies every fold/core/unfold exchange matched;
             // the min-clock driver would have diverged otherwise.
             assert!(rep.completion > SimTime::ZERO, "{n}-rank allreduce");
+            assert_eq!(rep.rounds, steps, "{n}-rank allreduce steps");
         }
     }
 

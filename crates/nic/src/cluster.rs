@@ -1426,36 +1426,6 @@ mod tests {
     }
 
     #[test]
-    fn fat_tree_cluster_delivers_across_pods() {
-        let mut c =
-            Cluster::new(8, NetworkModel::fat_tree(2), NicConfig::default(), 13).deterministic();
-        let mut tap = NullTap;
-        // Intra-pod (0 -> 1) and inter-pod (0 -> 7) writes.
-        c.post(
-            SimTime::from_ns(1),
-            NodeId(0),
-            desc(0, Opcode::RdmaWrite),
-            &mut tap,
-        );
-        let mut d2 = desc(1, Opcode::RdmaWrite);
-        d2.dst = NodeId(7);
-        c.post(SimTime::from_ns(1), NodeId(0), d2, &mut tap);
-        c.run_until_idle(&mut tap);
-        let first = c.pop_cqe(NodeId(0), QpId(0)).unwrap();
-        let second = c.pop_cqe(NodeId(0), QpId(0)).unwrap();
-        // The intra-pod message (1 hop) completes before the inter-pod one
-        // (3 hops + 2 cables), posted at the same instant.
-        assert_eq!(first.wr_id, WrId(0));
-        assert_eq!(second.wr_id, WrId(1));
-        let gap = second.visible_at.since(first.visible_at).as_ns_f64();
-        // Round trip crosses the extra hops twice: 2*(2*108 + 2*50) = 632.
-        assert!(
-            (gap - 632.0).abs() < 1.0,
-            "inter-pod round-trip penalty {gap} ns, expected 632"
-        );
-    }
-
-    #[test]
     fn markov_stalls_defer_launches_but_everything_completes() {
         let run = |stalled: bool| {
             let mut c = paper_cluster();

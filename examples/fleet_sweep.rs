@@ -30,8 +30,9 @@ fn main() {
     collective_scaling();
 }
 
-/// Dissemination-barrier latency vs rank count, on the paper's single
-/// switch and on a two-level fat tree.
+/// Dissemination-barrier latency vs rank count on the paper's single
+/// switch. Multi-switch topologies at cluster scale are
+/// `repro sweep-ranks`.
 fn collective_scaling() {
     use breaking_band::fabric::NetworkModel;
     use breaking_band::hlp::{UcpCosts, UcpWorker};
@@ -40,36 +41,30 @@ fn collective_scaling() {
     use breaking_band::nic::{Cluster, NicConfig};
 
     println!("\nBarrier scaling (dissemination, deterministic):");
-    println!(
-        "  {:>6}  {:>14}  {:>14}",
-        "ranks", "single switch", "fat tree (pod=2)"
-    );
+    println!("  {:>6}  {:>14}", "ranks", "single switch");
     for n in [2usize, 4, 8, 16] {
-        let run = |network: NetworkModel| {
-            let mut cluster = Cluster::new(n, network, NicConfig::default(), 17).deterministic();
-            let mut tap = NullTap;
-            let mut ranks: Vec<MpiProcess> = (0..n)
-                .map(|i| {
-                    let uct = Worker::new(
-                        NodeId(i as u32),
-                        LlpCosts::default().deterministic(),
-                        300 + i as u64,
-                    );
-                    let mut p = MpiProcess::new(
-                        UcpWorker::new(uct, UcpCosts::default().unmoderated()),
-                        MpiCosts::default(),
-                    );
-                    p.init(&mut cluster, &mut tap);
-                    p
-                })
-                .collect();
-            barrier(&mut cluster, &mut ranks, &mut tap)
-                .completion
-                .as_ns_f64()
-        };
-        let single = run(NetworkModel::paper_default());
-        let fat = run(NetworkModel::fat_tree(2));
-        println!("  {n:>6}  {single:>12.1}ns  {fat:>12.1}ns");
+        let mut cluster = Cluster::new(n, NetworkModel::paper_default(), NicConfig::default(), 17)
+            .deterministic();
+        let mut tap = NullTap;
+        let mut ranks: Vec<MpiProcess> = (0..n)
+            .map(|i| {
+                let uct = Worker::new(
+                    NodeId(i as u32),
+                    LlpCosts::default().deterministic(),
+                    300 + i as u64,
+                );
+                let mut p = MpiProcess::new(
+                    UcpWorker::new(uct, UcpCosts::default().unmoderated()),
+                    MpiCosts::default(),
+                );
+                p.init(&mut cluster, &mut tap);
+                p
+            })
+            .collect();
+        let single = barrier(&mut cluster, &mut ranks, &mut tap)
+            .completion
+            .as_ns_f64();
+        println!("  {n:>6}  {single:>12.1}ns");
     }
 }
 

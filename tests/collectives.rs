@@ -1,6 +1,6 @@
 //! Collectives at integration scope: the dissemination barrier and
-//! recursive-doubling allreduce across cluster sizes and topologies,
-//! through the public facade.
+//! recursive-doubling allreduce across cluster sizes, through the public
+//! facade.
 
 use breaking_band::fabric::{NetworkModel, NodeId};
 use breaking_band::hlp::{UcpCosts, UcpWorker};
@@ -9,8 +9,9 @@ use breaking_band::mpi::{barrier, run_collective, Collective, MpiCosts, MpiProce
 use breaking_band::nic::{Cluster, NicConfig};
 use breaking_band::pcie::NullTap;
 
-fn make_ranks(n: usize, network: NetworkModel, seed: u64) -> (Cluster, Vec<MpiProcess>) {
-    let mut cluster = Cluster::new(n, network, NicConfig::default(), seed).deterministic();
+fn make_ranks(n: usize, seed: u64) -> (Cluster, Vec<MpiProcess>) {
+    let mut cluster =
+        Cluster::new(n, NetworkModel::paper_default(), NicConfig::default(), seed).deterministic();
     let mut tap = NullTap;
     let ranks = (0..n)
         .map(|i| {
@@ -35,7 +36,7 @@ fn barrier_round_structure_is_logarithmic() {
     let mut tap = NullTap;
     let mut times = Vec::new();
     for n in [2usize, 4, 8, 16] {
-        let (mut cl, mut ranks) = make_ranks(n, NetworkModel::paper_default(), 21);
+        let (mut cl, mut ranks) = make_ranks(n, 21);
         let rep = barrier(&mut cl, &mut ranks, &mut tap);
         assert_eq!(rep.rounds, (n as u32).trailing_zeros());
         times.push(rep.completion.as_ns_f64());
@@ -52,26 +53,12 @@ fn barrier_round_structure_is_logarithmic() {
 }
 
 #[test]
-fn fat_tree_barrier_pays_inter_pod_rounds() {
-    let mut tap = NullTap;
-    let (mut c1, mut r1) = make_ranks(8, NetworkModel::paper_default(), 22);
-    let single = barrier(&mut c1, &mut r1, &mut tap).completion.as_ns_f64();
-    let (mut c2, mut r2) = make_ranks(8, NetworkModel::fat_tree(2), 22);
-    let fat = barrier(&mut c2, &mut r2, &mut tap).completion.as_ns_f64();
-    assert!(
-        fat > single + 300.0,
-        "fat-tree barrier {fat} should exceed single-switch {single} by the \
-         inter-pod hops"
-    );
-}
-
-#[test]
 fn allreduce_with_multi_mtu_payload() {
     // 8 KiB operands: each round's exchange is fragmented by UCP (two
     // 4 KiB fragments) — the collective, fragmentation and reassembly
     // machinery working together.
     let mut tap = NullTap;
-    let (mut cl, mut ranks) = make_ranks(4, NetworkModel::paper_default(), 23);
+    let (mut cl, mut ranks) = make_ranks(4, 23);
     let rep = run_collective(
         &mut cl,
         &mut ranks,
@@ -91,7 +78,7 @@ fn bcast_completion_independent_of_root() {
     let mut tap = NullTap;
     let mut times = Vec::new();
     for root in 0..4u32 {
-        let (mut cl, mut ranks) = make_ranks(4, NetworkModel::paper_default(), 24);
+        let (mut cl, mut ranks) = make_ranks(4, 24);
         let rep = run_collective(
             &mut cl,
             &mut ranks,
