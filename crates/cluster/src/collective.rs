@@ -246,7 +246,9 @@ impl Scratch {
                 }
                 pending.push((depart, x, i as u32));
             }
-            pending.sort_by_key(|&(depart, x, _)| (depart, x.src, x.dst));
+            // Each rank sends at most once per step, so the keys are
+            // unique and an unstable (allocation-free) sort is exact.
+            pending.sort_unstable_by_key(|&(depart, x, _)| (depart, x.src, x.dst));
             for &(depart, x, i) in pending.iter() {
                 let d = if replaying {
                     replay.walk(fab, i as usize, depart)

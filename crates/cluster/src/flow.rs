@@ -295,10 +295,7 @@ impl ClusterFabric {
         for (slot, hop) in out.iter_mut().zip(&self.route) {
             let buffer = match self.graph.ports[hop.sw as usize][hop.port as usize] {
                 PortTarget::Switch { sw, port } => Some(self.graph.gid(sw, port) as u32),
-                PortTarget::Host(h) => {
-                    debug_assert_eq!(h, dst, "route delivered to the wrong host");
-                    None
-                }
+                PortTarget::Host(_) => None,
             };
             *slot = ResolvedHop {
                 egress: self.graph.gid(hop.sw, hop.port) as u32,
@@ -779,34 +776,110 @@ mod tests {
         assert_eq!(plain.counters, tele.counters);
     }
 
-    /// The reuse satellite: a second run from a reset (or clean-cloned)
-    /// fabric records telemetry identical to a fresh fabric's.
+    /// Incast of `srcs` into `dst`: sources below `small_from` send
+    /// 4 KiB, the rest 256 B (a lone 256 B reservation stays under the
+    /// ECN mark of a 4,200-byte buffer, so their uplink buffers see
+    /// occupancy updates but no marks). Returns the deliveries and the
+    /// telemetry report.
+    fn incast_report(
+        fab: &mut ClusterFabric,
+        srcs: std::ops::Range<u32>,
+        small_from: u32,
+        dst: u32,
+    ) -> (Vec<Delivery>, crate::TelemetryReport) {
+        let deliveries = srcs
+            .map(|s| {
+                let payload = if s < small_from { 4096 } else { 256 };
+                let depart = fab.inject(s, SimTime::ZERO, payload);
+                fab.send(depart, s, dst, payload)
+            })
+            .collect();
+        let report = fab
+            .telemetry()
+            .unwrap()
+            .summarize(&fab.graph, &fab.counters);
+        (deliveries, report)
+    }
+
+    /// The reuse satellite: a run from a reset (or clean-cloned) fabric
+    /// records telemetry identical to a fresh fabric's. Reset rewrites
+    /// only the ports a run touched, so runs over *different* ports must
+    /// still start from a clean slate: B after A and a reset (or from a
+    /// clean clone of A's fabric), and A again after that B, record
+    /// exactly what each records on a fresh fabric. A port a reset
+    /// skipped would leak A's state into B where they share ports, or
+    /// into the second A where only A used it. Small buffers make both
+    /// runs wait for credits and mark ECN, so every series is populated.
     #[test]
     fn reused_fabric_records_identical_telemetry() {
-        let run = |fab: &mut ClusterFabric| {
-            let mut deliveries = Vec::new();
-            for s in 0..8 {
-                deliveries.push(fab.send(SimTime::ZERO, s, 9, 4096));
-            }
-            (
-                deliveries,
-                fab.telemetry()
-                    .unwrap()
-                    .summarize(&fab.graph, &fab.counters),
-            )
-        };
         let mut cfg = FlowConfig::paper_default();
         cfg.input_buffer_bytes = 4_200;
-        let mut fresh = ClusterFabric::new(FabricGraph::fat_tree(4, 2), cfg);
-        fresh.enable_telemetry(TelemetryConfig::paper_default());
-        let mut cloned = fresh.clean_clone();
-        let first = run(&mut fresh);
-        // Reset in place: everything transient (including telemetry)
-        // must clear, so the second run is identical.
-        fresh.reset_transients();
-        assert_eq!(run(&mut fresh), first);
-        // And a clean clone taken before any traffic behaves the same.
-        assert_eq!(run(&mut cloned), first);
+        let mut pristine = ClusterFabric::new(FabricGraph::fat_tree(4, 2), cfg);
+        pristine.enable_telemetry(TelemetryConfig::paper_default());
+        // A: hosts 0..6 into host 13, hosts 4 and 5 small; B: hosts
+        // 4..10 into host 2, hosts 8 and 9 small. They share leaf switch
+        // 1's hosts and some spine ports, not all.
+        let run_a = |fab: &mut ClusterFabric| incast_report(fab, 0..6, 4, 13);
+        let run_b = |fab: &mut ClusterFabric| incast_report(fab, 4..10, 8, 2);
+        let (mut fresh_a, mut fresh_b) = (pristine.clean_clone(), pristine.clean_clone());
+        let (a, b) = (run_a(&mut fresh_a), run_b(&mut fresh_b));
+        for fresh in [&fresh_a, &fresh_b] {
+            let c = fresh.counters;
+            assert!(c.credit_waits > 0 && c.ecn_marks > 0, "{c:?}");
+        }
+        assert!(a.1.conservation.exact() && b.1.conservation.exact());
+        assert_ne!(
+            a.1.hotspots, b.1.hotspots,
+            "A and B must load different ports"
+        );
+
+        let mut fab = pristine.clean_clone();
+        run_a(&mut fab);
+        let mut cloned = fab.clean_clone();
+        fab.reset_transients();
+        assert_eq!(run_b(&mut fab), b);
+        assert_eq!(run_b(&mut cloned), b);
+        fab.reset_transients();
+        assert_eq!(run_a(&mut fab), a);
+    }
+
+    /// Window widening merges adjacent windows exactly: a run that starts
+    /// at a tiny width and doubles it many times reports exactly what the
+    /// same run reports when recorded at the final width from the start.
+    #[test]
+    fn widened_windows_report_like_the_final_width() {
+        let run = |window_ps: u64| {
+            let mut cfg = FlowConfig::paper_default();
+            cfg.input_buffer_bytes = 4_200;
+            let mut fab = ClusterFabric::new(FabricGraph::fat_tree(4, 2), cfg);
+            fab.enable_telemetry(TelemetryConfig {
+                window: SimDuration::from_ps(window_ps),
+                max_windows: 2,
+                ..TelemetryConfig::paper_default()
+            });
+            // Two waves, the second after the first has drained, so
+            // spans land in many windows at the starting width.
+            for wave in 0..2u64 {
+                for s in 0..8 {
+                    let ready = SimTime::from_ns(20_000 * wave);
+                    let depart = fab.inject(s, ready, 4096);
+                    fab.send(depart, s, 9 + (s % 2), 4096);
+                }
+            }
+            assert!(fab.counters.credit_waits > 0 && fab.counters.ecn_marks > 0);
+            fab.telemetry()
+                .unwrap()
+                .summarize(&fab.graph, &fab.counters)
+        };
+        let start = 1 << 12;
+        let widened = run(start);
+        assert!(
+            widened.window_ps >= 4 * start,
+            "must widen at least twice: {}",
+            widened.window_ps
+        );
+        assert!(widened.conservation.exact(), "{:?}", widened.conservation);
+        assert_eq!(widened, run(widened.window_ps));
     }
 
     /// The live query the adaptive-routing PR will poll: egress busy

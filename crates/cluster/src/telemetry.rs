@@ -109,19 +109,30 @@ struct HotPort {
     busy: HotCell,
     queue: HotCell,
     credit: HotCell,
+    /// Index of this port in [`FabricTelemetry::egress_touched`], set
+    /// when its busy cursor first opens. Lives in the alignment padding.
+    slot: u32,
 }
 
 const EMPTY_PORT: HotPort = HotPort {
     busy: EMPTY_CELL,
     queue: EMPTY_CELL,
     credit: EMPTY_CELL,
+    slot: 0,
 };
+
+/// Occupancy state `(level bytes, last update ps)` of an input buffer
+/// nothing has reserved in since the last reset. The level is a sentinel
+/// no real buffer reaches; the first update swaps it for `(0, 0)`.
+const UNTOUCHED_INPUT: (u64, u64) = (u64::MAX, 0);
 
 /// Accumulate the span `[from, to)` into `h`'s windows (width `2^shift`
 /// ps) and count `events`; returns the last window index touched. The
 /// common case — the span lands inside the port's open window — is a
 /// handful of register ops against the already-loaded cell; everything
-/// else takes the [`cell_roll`] cold path into the spill log.
+/// else takes the [`cell_roll`] cold path into the spill log. When the
+/// cell opens its first window, `gid` is appended to the `opened` list
+/// (if given) and its index there stored in the paired slot.
 ///
 /// Spill-log entries are `(port gid, window idx, accumulated value)`.
 /// Duplicate `(gid, idx)` entries are allowed — aggregation is additive
@@ -129,9 +140,11 @@ const EMPTY_PORT: HotPort = HotPort {
 /// hot path allocation-free (a per-port `Vec<(idx, ps)>` layout spent
 /// more of the telemetry budget in the allocator than in recording).
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn cell_add_span(
     h: &mut HotCell,
     spill: &mut Vec<(u32, u32, u64)>,
+    opened: Option<(&mut Vec<u32>, &mut u32)>,
     gid: usize,
     shift: u32,
     from_ps: u64,
@@ -145,7 +158,7 @@ fn cell_add_span(
     if from_ps >> shift == h.cur_idx && last == h.cur_idx {
         h.cur_ps += to_ps - from_ps;
     } else {
-        cell_roll(h, spill, gid, shift, from_ps, to_ps, last);
+        cell_roll(h, spill, opened, gid, shift, from_ps, to_ps, last);
     }
     last
 }
@@ -154,9 +167,11 @@ fn cell_add_span(
 /// window. Drains the cursor (and every whole window the span crosses)
 /// to the spill log and re-opens at the span's last window.
 #[cold]
+#[allow(clippy::too_many_arguments)]
 fn cell_roll(
     h: &mut HotCell,
     spill: &mut Vec<(u32, u32, u64)>,
+    opened: Option<(&mut Vec<u32>, &mut u32)>,
     gid: usize,
     shift: u32,
     from_ps: u64,
@@ -166,6 +181,9 @@ fn cell_roll(
     debug_assert!(last <= u32::MAX as u64);
     if h.cur_idx != u64::MAX {
         spill.push((gid as u32, h.cur_idx as u32, h.cur_ps));
+    } else if let Some((opened, slot)) = opened {
+        *slot = opened.len() as u32;
+        opened.push(gid as u32);
     }
     let mut at = from_ps;
     for idx in (from_ps >> shift)..last {
@@ -205,12 +223,6 @@ impl Series {
         }
     }
 
-    /// Zero every cursor and drop the log, keeping both allocations.
-    fn reset(&mut self) {
-        self.hot.fill(EMPTY_CELL);
-        self.spill.clear();
-    }
-
     /// Count one event at `at_ps` — the window cell accumulates event
     /// *counts* rather than time; returns the window index.
     #[inline]
@@ -232,16 +244,6 @@ impl Series {
         self.hot[gid] = h;
         idx
     }
-
-    /// Merge adjacent window pairs (exact; see [`cell_halve`]).
-    fn halve(&mut self) {
-        for h in &mut self.hot {
-            cell_halve(h);
-        }
-        for e in &mut self.spill {
-            e.1 /= 2;
-        }
-    }
 }
 
 /// The recording state attached to a [`ClusterFabric`] when telemetry is
@@ -258,6 +260,14 @@ pub struct FabricTelemetry {
     /// transmitted), queue-wait spans (`events` = contended hops), and
     /// credit-stall spans (`events` = FIFO credit pops).
     hot: Vec<HotPort>,
+    /// Egress gids whose busy cursor has opened since the last reset, in
+    /// first-touch order. Every hop records busy time, so these are all
+    /// the ports with a nonzero cursor: reset, widening and summarize
+    /// walk this list instead of every port of the fabric.
+    egress_touched: Vec<u32>,
+    /// Input-buffer gids with an occupancy or ECN update since the last
+    /// reset, in first-touch order.
+    input_touched: Vec<u32>,
     /// Closed busy windows `(gid, idx, ps)`; see [`cell_add_span`].
     busy_spill: Vec<(u32, u32, u64)>,
     /// Closed queue-wait windows.
@@ -266,10 +276,11 @@ pub struct FabricTelemetry {
     credit_spill: Vec<(u32, u32, u64)>,
     /// Per-input-port ECN marks; window cells hold mark counts.
     ecn: Series,
-    /// Per-input-port occupancy state `(level bytes, last update ps)`;
-    /// the report only needs the global integral and high-water mark, so
-    /// the per-port record stays two words — one dense cache access per
-    /// reservation instead of a full per-port gauge.
+    /// Per-input-port occupancy state `(level bytes, last update ps)`,
+    /// [`UNTOUCHED_INPUT`] until the port's first update; the report only
+    /// needs the global integral and high-water mark, so the per-port
+    /// record stays two words — one dense cache access per reservation
+    /// instead of a full per-port gauge.
     occ: Vec<(u64, u64)>,
     /// Global `Σ occupancy · dt` across all input buffers, ps-bytes.
     occ_integral: u128,
@@ -301,11 +312,13 @@ impl FabricTelemetry {
             shift: cfg.window.as_ps().next_power_of_two().trailing_zeros(),
             max_idx: 0,
             hot: vec![EMPTY_PORT; total_ports],
+            egress_touched: Vec::new(),
+            input_touched: Vec::new(),
             busy_spill: Vec::new(),
             queue_spill: Vec::new(),
             credit_spill: Vec::new(),
             ecn: Series::new(total_ports),
-            occ: vec![(0, 0); total_ports],
+            occ: vec![UNTOUCHED_INPUT; total_ports],
             occ_integral: 0,
             occ_hwm: 0,
             occ_hist: [0; OCC_BINS],
@@ -322,17 +335,25 @@ impl FabricTelemetry {
     /// Drop every recording, keeping the configuration — called from
     /// [`ClusterFabric::reset_transients`](crate::ClusterFabric::reset_transients)
     /// so a reused fabric records a fresh, byte-identical run. Clears in
-    /// place: the per-port arrays (and their spill capacity) survive, so
-    /// resetting costs a sweep over touched state, not a reallocation.
+    /// place: the per-port arrays (and their spill capacity) survive, and
+    /// only the ports the run touched are rewritten, so resetting costs
+    /// what the run's traffic cost, not a sweep over the whole fabric.
     pub fn reset(&mut self) {
         self.shift = self.cfg.window.as_ps().next_power_of_two().trailing_zeros();
         self.max_idx = 0;
-        self.hot.fill(EMPTY_PORT);
+        for &gid in &self.egress_touched {
+            self.hot[gid as usize] = EMPTY_PORT;
+        }
+        for &gid in &self.input_touched {
+            self.ecn.hot[gid as usize] = EMPTY_CELL;
+            self.occ[gid as usize] = UNTOUCHED_INPUT;
+        }
+        self.egress_touched.clear();
+        self.input_touched.clear();
         self.busy_spill.clear();
         self.queue_spill.clear();
         self.credit_spill.clear();
-        self.ecn.reset();
-        self.occ.fill((0, 0));
+        self.ecn.spill.clear();
         self.occ_integral = 0;
         self.occ_hwm = 0;
         self.occ_hist = [0; OCC_BINS];
@@ -357,21 +378,27 @@ impl FabricTelemetry {
         }
         self.max_idx = idx;
         while self.max_idx >= self.cfg.max_windows {
-            for p in &mut self.hot {
+            // Merge adjacent window pairs. Only touched ports have an
+            // open cursor; closed windows all sit in the spill logs.
+            for &gid in &self.egress_touched {
+                let p = &mut self.hot[gid as usize];
                 cell_halve(&mut p.busy);
                 cell_halve(&mut p.queue);
                 cell_halve(&mut p.credit);
             }
-            for e in &mut self.busy_spill {
-                e.1 /= 2;
+            for &gid in &self.input_touched {
+                cell_halve(&mut self.ecn.hot[gid as usize]);
             }
-            for e in &mut self.queue_spill {
-                e.1 /= 2;
+            for log in [
+                &mut self.busy_spill,
+                &mut self.queue_spill,
+                &mut self.credit_spill,
+                &mut self.ecn.spill,
+            ] {
+                for e in log {
+                    e.1 /= 2;
+                }
             }
-            for e in &mut self.credit_spill {
-                e.1 /= 2;
-            }
-            self.ecn.halve();
             self.shift += 1;
             self.max_idx /= 2;
         }
@@ -399,6 +426,7 @@ impl FabricTelemetry {
         let idx = cell_add_span(
             &mut p.busy,
             &mut self.busy_spill,
+            Some((&mut self.egress_touched, &mut p.slot)),
             gid,
             shift,
             start_ps,
@@ -409,6 +437,7 @@ impl FabricTelemetry {
             cell_add_span(
                 &mut p.queue,
                 &mut self.queue_spill,
+                None,
                 gid,
                 shift,
                 ready_ps,
@@ -420,6 +449,7 @@ impl FabricTelemetry {
             cell_add_span(
                 &mut p.credit,
                 &mut self.credit_spill,
+                None,
                 gid,
                 shift,
                 drained_ps,
@@ -430,9 +460,20 @@ impl FabricTelemetry {
         self.note(idx);
     }
 
+    /// List input buffer `gid` as touched on its first update since the
+    /// last reset.
+    #[inline]
+    fn touch_input(&mut self, gid: usize) {
+        if self.occ[gid] == UNTOUCHED_INPUT {
+            self.occ[gid] = (0, 0);
+            self.input_touched.push(gid as u32);
+        }
+    }
+
     /// Input buffer `gid` ECN-marked a reservation at `at_ps`.
     #[inline]
     pub fn on_ecn_mark(&mut self, gid: usize, at_ps: u64) {
+        self.touch_input(gid);
         let idx = self.ecn.add_at(gid, self.shift, at_ps);
         self.note(idx);
     }
@@ -443,6 +484,7 @@ impl FabricTelemetry {
     /// integral monotone and deterministic.
     #[inline]
     pub fn on_occupancy(&mut self, gid: usize, at_ps: u64, occupied: u64, capacity: u64) {
+        self.touch_input(gid);
         let (level, last_at) = &mut self.occ[gid];
         let at = at_ps.max(*last_at);
         self.occ_integral += (at - *last_at) as u128 * *level as u128;
@@ -482,114 +524,113 @@ impl FabricTelemetry {
     pub fn summarize(&self, graph: &FabricGraph, counters: &FlowCounters) -> TelemetryReport {
         let span_ps = self.span_end_ps;
         let n_windows = self.max_idx + 1;
+        let nw = n_windows as usize;
         let classes = graph.link_classes();
+        let pc = graph.port_classes();
         let mut class_rows: Vec<ClassSeries> = classes
             .iter()
-            .map(|label| ClassSeries {
+            .zip(&pc.class_links)
+            .map(|(label, &links)| ClassSeries {
                 label: label.clone(),
-                links: 0,
+                links,
                 busy_ps: 0,
                 queue_ps: 0,
                 credit_ps: 0,
-                util: vec![0.0; n_windows as usize],
+                util: Vec::new(),
                 peak_util: 0.0,
             })
             .collect();
-        let groups = graph.switch_group(0).map(|_| {
-            let last = graph.switches() - 1;
-            vec![
-                GroupUtil {
-                    group: 0,
-                    busy_ps: 0,
-                    links: 0,
-                    util: 0.0,
-                };
-                graph.switch_group(last).unwrap() as usize + 1
-            ]
-        });
-        let mut groups = groups.unwrap_or_default();
+        // Rows keep the artifact's existing `group: 0` label.
+        let mut groups: Vec<GroupUtil> = pc
+            .group_links
+            .iter()
+            .map(|&links| GroupUtil {
+                group: 0,
+                busy_ps: 0,
+                links,
+                util: 0.0,
+            })
+            .collect();
         let global_class = classes.len() - 1; // dragonfly: "global"
 
         // Hotspot candidates stay lightweight keys `(contention, gid)`
         // until after the cut: materializing a labeled `Hotspot` row (a
         // `String` clone) for every active port of every cell just to
         // keep the top five dominated the whole summarize cost.
-        let mut hot_keys: Vec<(u64, usize)> = Vec::new();
+        let mut hot_keys: Vec<(u64, usize)> = Vec::with_capacity(self.egress_touched.len());
         let mut saturated = 0u64;
         let mut windows_sum = true;
-        let (mut contended_ev, mut credit_ev, mut ecn_ev) = (0u64, 0u64, 0u64);
-
-        // Link class per gid, precomputed once: the spill-log replay
-        // below is keyed by gid alone.
-        let n_ports = self.hot.len();
-        let mut class_of = vec![0u8; n_ports];
-        for sw in 0..graph.switches() {
-            for port in 0..graph.ports[sw as usize].len() as u32 {
-                class_of[graph.gid(sw, port)] = graph.link_class(sw, port) as u8;
-            }
-        }
+        let (mut contended_ev, mut credit_ev) = (0u64, 0u64);
 
         // Replay the busy series — spill log plus open cursors — into
-        // the per-class windowed utilization, accumulating per-port
-        // window sums for the `windows_sum` conservation check (every
-        // port's cells must sum back to its lifetime busy total).
-        let mut port_win = vec![0u64; n_ports];
+        // per-class window sums (integer ps, so the order of the replay
+        // cannot matter), accumulating per-port window sums for the
+        // `windows_sum` conservation check (every port's cells must sum
+        // back to its lifetime busy total). Only touched ports have busy
+        // time, so the per-port sums are indexed by touched slot.
+        let touched = &self.egress_touched;
+        let mut class_win = vec![0u64; classes.len() * nw];
+        let mut port_win = vec![0u64; touched.len()];
         for &(gid, idx, ps) in &self.busy_spill {
-            port_win[gid as usize] += ps;
-            class_rows[class_of[gid as usize] as usize].util[idx as usize] += ps as f64;
+            let gid = gid as usize;
+            port_win[self.hot[gid].slot as usize] += ps;
+            class_win[pc.class_of[gid] as usize * nw + idx as usize] += ps;
         }
-        for (gid, p) in self.hot.iter().enumerate() {
-            if p.busy.cur_idx != u64::MAX {
-                port_win[gid] += p.busy.cur_ps;
-                class_rows[class_of[gid] as usize].util[p.busy.cur_idx as usize] +=
-                    p.busy.cur_ps as f64;
-            }
-        }
+        for (slot, &gid) in touched.iter().enumerate() {
+            let gid = gid as usize;
+            let class = pc.class_of[gid] as usize;
+            let HotPort {
+                busy,
+                queue,
+                credit,
+                ..
+            } = self.hot[gid];
+            debug_assert!(busy.cur_idx != u64::MAX, "touched port without a window");
+            port_win[slot] += busy.cur_ps;
+            class_win[class * nw + busy.cur_idx as usize] += busy.cur_ps;
+            contended_ev += queue.events;
+            credit_ev += credit.events;
+            windows_sum &= busy.total == port_win[slot];
 
-        for sw in 0..graph.switches() {
-            for port in 0..graph.ports[sw as usize].len() as u32 {
-                let gid = graph.gid(sw, port);
-                let class = class_of[gid] as usize;
-                let HotPort {
-                    busy,
-                    queue,
-                    credit,
-                } = self.hot[gid];
-                contended_ev += queue.events;
-                credit_ev += credit.events;
-                ecn_ev += self.ecn.hot[gid].events;
-                windows_sum &= busy.total == port_win[gid];
-
-                let row = &mut class_rows[class];
-                row.links += 1;
-                row.busy_ps += busy.total;
-                row.queue_ps += queue.total;
-                row.credit_ps += credit.total;
-                if !groups.is_empty() && class == global_class {
-                    let g = &mut groups[graph.switch_group(sw).unwrap() as usize];
-                    g.links += 1;
-                    g.busy_ps += busy.total;
-                }
-                if span_ps > 0
-                    && (queue.total + credit.total) as f64
-                        >= self.cfg.sat_contention * span_ps as f64
-                {
-                    saturated += 1;
-                }
-                if busy.total > 0 || queue.total > 0 || credit.total > 0 {
-                    hot_keys.push((queue.total + credit.total, gid));
-                }
+            let row = &mut class_rows[class];
+            row.busy_ps += busy.total;
+            row.queue_ps += queue.total;
+            row.credit_ps += credit.total;
+            if !groups.is_empty() && class == global_class {
+                let (sw, _) = graph.port_of_gid(gid);
+                groups[graph.switch_group(sw).unwrap() as usize].busy_ps += busy.total;
             }
+            if span_ps > 0
+                && (queue.total + credit.total) as f64 >= self.cfg.sat_contention * span_ps as f64
+            {
+                saturated += 1;
+            }
+            hot_keys.push((queue.total + credit.total, gid));
         }
+        // An untouched port has no contention time; it counts saturated
+        // only under a non-positive threshold.
+        if span_ps > 0 && 0.0 >= self.cfg.sat_contention * span_ps as f64 {
+            saturated += u64::from(graph.total_ports) - touched.len() as u64;
+        }
+        let ecn_ev: u64 = self
+            .input_touched
+            .iter()
+            .map(|&gid| self.ecn.hot[gid as usize].events)
+            .sum();
         // Normalize class series to utilization fractions of aggregate
         // class capacity (links × window width).
-        for row in &mut class_rows {
-            if row.links > 0 {
-                let denom = row.links as f64 * self.window_ps() as f64;
-                for u in &mut row.util {
-                    *u /= denom;
-                }
-            }
+        for (row, win) in class_rows.iter_mut().zip(class_win.chunks_exact(nw)) {
+            let denom = row.links as f64 * self.window_ps() as f64;
+            row.util = win
+                .iter()
+                .map(|&ps| {
+                    if row.links > 0 {
+                        ps as f64 / denom
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
             row.peak_util = row.util.iter().copied().fold(0.0, f64::max);
         }
         for g in &mut groups {
@@ -600,9 +641,14 @@ impl FabricTelemetry {
         // Rank by contention (queue + credit time), ties by port id
         // (gids are assigned in `(sw, port)` order), keep the top-k —
         // the fabric analogue of `trace::dag`'s critical-path stage
-        // ranking — and only then build the labeled rows.
-        hot_keys.sort_by(|a, b| (b.0, a.1).cmp(&(a.0, b.1)));
-        hot_keys.truncate(self.cfg.top_k);
+        // ranking — and only then build the labeled rows. Keys are
+        // unique, so selecting the top-k before sorting them is exact.
+        let rank = |a: &(u64, usize), b: &(u64, usize)| (b.0, a.1).cmp(&(a.0, b.1));
+        if hot_keys.len() > self.cfg.top_k {
+            hot_keys.select_nth_unstable_by(self.cfg.top_k, rank);
+            hot_keys.truncate(self.cfg.top_k);
+        }
+        hot_keys.sort_unstable_by(rank);
         let hot: Vec<Hotspot> = hot_keys
             .into_iter()
             .map(|(_, gid)| {
@@ -611,11 +657,12 @@ impl FabricTelemetry {
                     busy,
                     queue,
                     credit,
+                    ..
                 } = self.hot[gid];
                 Hotspot {
                     sw,
                     port,
-                    class: classes[class_of[gid] as usize].clone(),
+                    class: classes[pc.class_of[gid] as usize].clone(),
                     util: if span_ps > 0 {
                         busy.total as f64 / span_ps as f64
                     } else {

@@ -19,6 +19,7 @@
 //!   group to spread adversarial traffic.
 
 use serde::Serialize;
+use std::sync::OnceLock;
 
 /// Which builder produced a [`FabricGraph`], with its parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -62,6 +63,25 @@ pub struct FabricGraph {
     pub port_base: Vec<u32>,
     /// Total ports across all switches.
     pub total_ports: u32,
+    /// Link classes per port, built on first use by
+    /// [`FabricGraph::port_classes`]. Only telemetry reads them. Built
+    /// with the graph, the table's allocation landed between the
+    /// fabric's large per-port arrays and raised the peak RSS of a loop
+    /// that builds, frees and rebuilds six fabrics from 28 to 33–44 MiB
+    /// (glibc heap layout).
+    classes: OnceLock<PortClasses>,
+}
+
+/// Every port's [`FabricGraph::link_class`], with the per-class and
+/// per-group port counts telemetry normalizes by.
+#[derive(Debug, Clone)]
+pub(crate) struct PortClasses {
+    /// Link class of each global port id.
+    pub(crate) class_of: Vec<u8>,
+    /// Ports per link class, indexed like [`FabricGraph::link_classes`].
+    pub(crate) class_links: Vec<u64>,
+    /// Global-class ports per dragonfly group (empty on a fat tree).
+    pub(crate) group_links: Vec<u64>,
 }
 
 /// `base^exp` with overflow panic (topology parameters are small).
@@ -181,7 +201,37 @@ impl FabricGraph {
             ports,
             port_base,
             total_ports: total,
+            classes: OnceLock::new(),
         }
+    }
+
+    /// The per-port link-class table and its per-class and per-group
+    /// port counts, built from [`FabricGraph::link_class`] on first use.
+    pub(crate) fn port_classes(&self) -> &PortClasses {
+        self.classes.get_or_init(|| {
+            let n_classes = self.link_classes().len();
+            let mut pc = PortClasses {
+                class_of: Vec::with_capacity(self.total_ports as usize),
+                class_links: vec![0; n_classes],
+                group_links: match self.switch_group(self.switches() - 1) {
+                    Some(last) => vec![0; last as usize + 1],
+                    None => Vec::new(),
+                },
+            };
+            for sw in 0..self.switches() {
+                for port in 0..self.ports[sw as usize].len() as u32 {
+                    let class = self.link_class(sw, port);
+                    pc.class_of.push(class as u8);
+                    pc.class_links[class] += 1;
+                    if class == n_classes - 1 {
+                        if let Some(grp) = self.switch_group(sw) {
+                            pc.group_links[grp as usize] += 1;
+                        }
+                    }
+                }
+            }
+            pc
+        })
     }
 
     /// Number of switches.
@@ -374,39 +424,50 @@ impl FabricGraph {
         }
     }
 
+    /// D-mod-k without a division in the hop loop: `src` and `dst` are
+    /// split into base-`k` digits once, which also finds the lowest
+    /// common ancestor level `m` (the highest differing digit). Ascending
+    /// hop `l` sets digit `l` of the switch column `w` to destination
+    /// digit `l+1` (one multiply-add), so after the ascent `w == dst / k`
+    /// and the descent runs straight down the destination's column.
     fn fat_tree_route(&self, k: u32, n: u32, src: u32, dst: u32, out: &mut Vec<RouteHop>) {
-        let width = pow_u32(k, n - 1);
-        let digit = |x: u32, i: u32| (x / pow_u32(k, i)) % k;
-        // Lowest common ancestor level: the highest differing digit.
+        const MAX_LEVELS: usize = 32; // k >= 2 and k^n fits a u32
+        let n = n as usize;
+        let (mut sd, mut dd) = ([0u32; MAX_LEVELS], [0u32; MAX_LEVELS]);
+        let (mut s, mut d) = (src, dst);
         let mut m = 0;
         for i in 0..n {
-            if digit(src, i) != digit(dst, i) {
+            (sd[i], dd[i]) = (s % k, d % k);
+            if sd[i] != dd[i] {
                 m = i;
             }
+            (s, d) = (s / k, d / k);
         }
-        // Ascend choosing digit l := dst digit l+1 (destination-based), so
-        // the descent runs straight down the destination's column.
+        let width = self.hosts / k; // switches per stage
+        let dst_col = dst / k;
         let mut w = src / k;
+        let mut base = 0; // l * width
+        let mut pl = 1; // k^l
         for l in 0..m {
             out.push(RouteHop {
-                sw: l * width + w,
-                port: k + digit(dst, l + 1),
+                sw: base + w,
+                port: k + dd[l + 1],
             });
-            let pl = pow_u32(k, l);
-            w = w - digit(w, l) * pl + digit(dst, l + 1) * pl;
+            w = w + dd[l + 1] * pl - sd[l + 1] * pl;
+            base += width;
+            pl *= k;
         }
-        // Descend: at level l the down port is dst digit l.
+        debug_assert_eq!(w, dst_col);
         for l in (1..=m).rev() {
             out.push(RouteHop {
-                sw: l * width + w,
-                port: digit(dst, l),
+                sw: base + dst_col,
+                port: dd[l],
             });
-            let pl = pow_u32(k, l - 1);
-            w = w - digit(w, l - 1) * pl + digit(dst, l) * pl;
+            base -= width;
         }
         out.push(RouteHop {
-            sw: w,
-            port: digit(dst, 0),
+            sw: dst_col,
+            port: dd[0],
         });
     }
 
@@ -527,6 +588,63 @@ mod tests {
         panic!("route never reached a host");
     }
 
+    /// The digit-formula D-mod-k router the division-free one replaced:
+    /// every digit read is a `pow_u32`, a divide and a modulo. Kept as
+    /// the oracle `route_into` must match hop for hop.
+    fn oracle_fat_tree_route(k: u32, n: u32, src: u32, dst: u32, out: &mut Vec<RouteHop>) {
+        out.clear();
+        let width = pow_u32(k, n - 1);
+        let digit = |x: u32, i: u32| (x / pow_u32(k, i)) % k;
+        let mut m = 0;
+        for i in 0..n {
+            if digit(src, i) != digit(dst, i) {
+                m = i;
+            }
+        }
+        let mut w = src / k;
+        for l in 0..m {
+            out.push(RouteHop {
+                sw: l * width + w,
+                port: k + digit(dst, l + 1),
+            });
+            let pl = pow_u32(k, l);
+            w = w - digit(w, l) * pl + digit(dst, l + 1) * pl;
+        }
+        for l in (1..=m).rev() {
+            out.push(RouteHop {
+                sw: l * width + w,
+                port: digit(dst, l),
+            });
+            let pl = pow_u32(k, l - 1);
+            w = w - digit(w, l - 1) * pl + digit(dst, l) * pl;
+        }
+        out.push(RouteHop {
+            sw: w,
+            port: digit(dst, 0),
+        });
+    }
+
+    /// Every (src, dst) pair of every fat tree with k in 2..=5 and at
+    /// most 1024 hosts routes exactly as the digit formula does.
+    #[test]
+    fn fat_tree_routes_match_the_digit_formula_oracle() {
+        let (mut route, mut oracle) = (Vec::new(), Vec::new());
+        for k in 2u32..=5 {
+            let mut n = 1;
+            while k.pow(n) <= 1024 {
+                let g = FabricGraph::fat_tree(k, n);
+                for src in 0..g.hosts {
+                    for dst in (0..g.hosts).filter(|&d| d != src) {
+                        g.route_into(src, dst, &mut route);
+                        oracle_fat_tree_route(k, n, src, dst, &mut oracle);
+                        assert_eq!(route, oracle, "k={k} n={n} {src}->{dst}");
+                    }
+                }
+                n += 1;
+            }
+        }
+    }
+
     #[test]
     fn fat_tree_shape_and_port_counts() {
         let g = FabricGraph::fat_tree(4, 3);
@@ -578,6 +696,7 @@ mod tests {
                 for port in 0..g.ports[sw as usize].len() as u32 {
                     let c = g.link_class(sw, port);
                     assert!(c < classes.len(), "{sw}:{port} out of range");
+                    assert_eq!(g.port_classes().class_of[g.gid(sw, port)] as usize, c);
                     seen[c] += 1;
                     assert_eq!(g.port_of_gid(g.gid(sw, port)), (sw, port));
                     if matches!(g.ports[sw as usize][port as usize], PortTarget::Host(_)) {
@@ -586,7 +705,17 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&n| n > 0), "{classes:?}: {seen:?}");
+            assert_eq!(g.port_classes().class_links, seen);
         }
+        // Per-group global links: h per router, a routers per group.
+        assert_eq!(
+            FabricGraph::dragonfly(4, 2, 2).port_classes().group_links,
+            vec![8; 9]
+        );
+        assert!(FabricGraph::fat_tree(4, 3)
+            .port_classes()
+            .group_links
+            .is_empty());
         // Dragonfly groups key the per-group heatmap; fat trees have none.
         let df = FabricGraph::dragonfly(4, 2, 2);
         assert_eq!(df.switch_group(0), Some(0));
@@ -645,6 +774,18 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// On the 4096-host tree 2048 ranks get, sampled pairs route
+        /// exactly as the digit formula does.
+        #[test]
+        fn fat_tree_4_6_routes_match_the_oracle(src in 0u32..4096, b in 0u32..4095) {
+            let dst = if b >= src { b + 1 } else { b };
+            let g = FabricGraph::fat_tree(4, 6);
+            let (mut route, mut oracle) = (Vec::new(), Vec::new());
+            g.route_into(src, dst, &mut route);
+            oracle_fat_tree_route(4, 6, src, dst, &mut oracle);
+            proptest::prop_assert_eq!(route, oracle);
+        }
+
         /// Fat-tree D-mod-k routes are minimal (2m+1 switches for NCA
         /// level m) and deadlock-free (strictly up* then down*: no up
         /// port ever follows a down port).
