@@ -68,7 +68,8 @@ fn bench(c: &mut Criterion) {
     // Fault-engine throughput: whole e2e runs per plan case, fast (memo
     // replay + silent-poll skipping) vs reference (full event loop). The
     // fault-free case is pure replay; loss and markov-stall exercise the
-    // per-message predraw checks and the convergent stall queries.
+    // per-message predraw checks and the convergent stall queries; sized
+    // runs the mixed-size event loop with no memo at all.
     let cal = Calibration::default();
     for (case, plan) in engine_hotpath_cases() {
         for (path, label) in [

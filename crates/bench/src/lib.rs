@@ -1363,8 +1363,10 @@ pub fn ext_metrics_bench(which: &str, scale: Scale) -> String {
 /// (`benches/engine_hotpath.rs`) and the [`bench_engine_json`] emitter:
 /// the fault-free fast path (pure memo replay), an i.i.d.-loss plan (memo
 /// replay with per-message RNG predraws and occasional reference
-/// fallbacks), and a Markov-stall plan (convergent-mutating stall queries
-/// on every chain).
+/// fallbacks), a Markov-stall plan (convergent-mutating stall queries
+/// on every chain), and an 8 B–1 MiB payload cycle under 1e-4 loss (no
+/// memo: the mixed-size eager and rendezvous event loop with MTU
+/// segmentation).
 pub fn engine_hotpath_cases() -> Vec<(&'static str, fault::FaultPlan)> {
     let fault_free = fault::FaultPlan::none();
     let mut loss = fault::FaultPlan::none();
@@ -1374,10 +1376,14 @@ pub fn engine_hotpath_cases() -> Vec<(&'static str, fault::FaultPlan)> {
         mean_up_ns: 20_000.0,
         mean_down_ns: 1_000.0,
     });
+    let mut sized = fault::FaultPlan::none();
+    sized.loss_probability = 1e-4;
+    sized.payload_cycle = vec![8, 256, 4096, 65_536, 1 << 20];
     vec![
         ("fault_free", fault_free),
         ("loss_1e-3", loss),
         ("markov_stall", markov),
+        ("sized", sized),
     ]
 }
 
@@ -1957,7 +1963,7 @@ mod tests {
         ] {
             assert!(json.contains(&format!("\"{sweep}\"")), "{json}");
         }
-        for case in ["fault_free", "loss_1e-3", "markov_stall"] {
+        for case in ["fault_free", "loss_1e-3", "markov_stall", "sized"] {
             assert!(json.contains(&format!("\"{case}\"")), "{json}");
         }
         // Every fast-vs-reference comparison must be byte-identical.

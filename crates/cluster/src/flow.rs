@@ -776,6 +776,26 @@ mod tests {
         assert_eq!(plain.counters, tele.counters);
     }
 
+    /// Each dragonfly group's utilization row is labelled with its own
+    /// group index, in group order.
+    #[test]
+    fn dragonfly_group_rows_are_labelled_in_order() {
+        let mut fab = ClusterFabric::paper_default(FabricGraph::dragonfly(4, 2, 2));
+        fab.enable_telemetry(TelemetryConfig::paper_default());
+        let hosts = fab.graph.hosts;
+        for s in 0..hosts {
+            fab.send(SimTime::ZERO, s, (s + hosts / 2) % hosts, 4096);
+        }
+        let report = fab
+            .telemetry()
+            .unwrap()
+            .summarize(&fab.graph, &fab.counters);
+        let groups = fab.graph.switch_group(fab.graph.switches() - 1).unwrap() + 1;
+        let labels: Vec<u32> = report.groups.iter().map(|g| g.group).collect();
+        assert_eq!(labels, (0..groups).collect::<Vec<u32>>());
+        assert!(groups > 1);
+    }
+
     /// Incast of `srcs` into `dst`: sources below `small_from` send
     /// 4 KiB, the rest 256 B (a lone 256 B reservation stays under the
     /// ECN mark of a 4,200-byte buffer, so their uplink buffers see

@@ -540,12 +540,10 @@ impl FabricTelemetry {
                 peak_util: 0.0,
             })
             .collect();
-        // Rows keep the artifact's existing `group: 0` label.
-        let mut groups: Vec<GroupUtil> = pc
-            .group_links
-            .iter()
-            .map(|&links| GroupUtil {
-                group: 0,
+        let mut groups: Vec<GroupUtil> = (0..)
+            .zip(&pc.group_links)
+            .map(|(group, &links)| GroupUtil {
+                group,
                 busy_ps: 0,
                 links,
                 util: 0.0,

@@ -49,7 +49,6 @@ use bband_sim::{EventKey, EventQueue, Pcg64, SimDuration, SimTime, StallSchedule
 use bband_trace as trace;
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -796,27 +795,17 @@ impl ChainMemo {
     }
 }
 
-/// Per-message payload/protocol state, resolved at construction from the
-/// plan's payload axis.
+/// One entry of the plan's payload axis, resolved once at construction.
 #[derive(Clone, Copy)]
-struct MsgState {
+struct SizeState {
     /// Application payload bytes.
     payload: u32,
     /// Selected protocol is rendezvous.
     rndv: bool,
     /// MTU segment count.
     segs: u32,
-    /// Rendezvous only: the RTS is already on the wire — the next MMIO
-    /// write for this message posts the data-phase descriptor.
-    rts_sent: bool,
-    /// FIFO clock of this message's RC-to-MEM writes (segments of one
-    /// message share the root complex's write port; messages are spaced
-    /// far enough apart that cross-message contention never arises on
-    /// the zero-fault path, keeping single-segment traces unchanged).
-    dma_clock: SimTime,
-    /// Previous segment's RC-to-MEM stage — the second happens-after
-    /// edge of the next segment's write when the port was busy.
-    dma_span: trace::SpanId,
+    /// Fault-free lifetime under the selected protocol.
+    total: SimDuration,
 }
 
 /// The recovery simulation for one run.
@@ -871,8 +860,19 @@ struct FaultSim {
     /// arithmetic [`SizedLatencyModel::total`] performs, keeping the
     /// zero-fault invariant bit-exact at every payload.
     sized: SizedLatencyModel,
-    /// Per-message payload/protocol state, indexed by message id.
-    msgs: Vec<MsgState>,
+    /// The payload axis, resolved per size: message `msg` is entry
+    /// `msg % sizes.len()`.
+    sizes: Vec<SizeState>,
+    /// Rendezvous messages whose RTS is on the wire and whose data-phase
+    /// descriptor has not been written yet.
+    rts_out: Vec<u64>,
+    /// RC-to-MEM write port of the message whose segments are landing:
+    /// (message, FIFO clock, previous segment's stage). Each message
+    /// starts on a free port; on a clean run posts are spaced so that
+    /// cross-message contention never arises. The RC receiver delivers in
+    /// PSN order and a message's segments hold consecutive PSNs, so one
+    /// cursor serves every message in turn.
+    dma: (u64, SimTime, trace::SpanId),
     /// RTS sends awaiting their CTS (the transport ACK of the RTS):
     /// (RTS PSN, message id).
     pending_rts: Vec<(Psn, u64)>,
@@ -908,24 +908,6 @@ struct FaultSim {
     counters: RecoveryCounters,
 }
 
-thread_local! {
-    /// The message table of the last [`FaultSim`] on this thread, handed
-    /// back on drop so the next run reuses the allocation. Without it every
-    /// run allocated (and freed) a table of 32 bytes per message, whose
-    /// placement under glibc's sliding mmap threshold decided how much
-    /// freed heap a sweep kept resident.
-    static MSG_SCRATCH: Cell<Vec<MsgState>> = const { Cell::new(Vec::new()) };
-}
-
-impl Drop for FaultSim {
-    fn drop(&mut self) {
-        let msgs = std::mem::take(&mut self.msgs);
-        // During thread teardown the slot may be gone; the table is then
-        // simply freed.
-        let _ = MSG_SCRATCH.try_with(|s| s.set(msgs));
-    }
-}
-
 impl FaultSim {
     fn new(
         cal: &Calibration,
@@ -935,20 +917,22 @@ impl FaultSim {
         path: EnginePath,
     ) -> Self {
         let sized = SizedLatencyModel::from_calibration(cal);
+        // The payloads messages cycle through: message `msg` carries
+        // entry `msg % len` (what `FaultPlan::payload_for` returns).
+        let axis = match plan.payload_cycle.as_slice() {
+            [] => std::slice::from_ref(&plan.payload_bytes),
+            cycle => cycle,
+        };
         if let Some(c) = plan.credits {
             // A pool that can never issue the largest MMIO write of the
             // plan, or whose UpdateFC batch can never fill once the header
             // pool empties, would deadlock the simulation rather than
             // stall it.
-            let max_chunks = if plan.payload_cycle.is_empty() {
-                SizedLatencyModel::pio_chunks(plan.payload_bytes)
-            } else {
-                plan.payload_cycle
-                    .iter()
-                    .map(|&p| SizedLatencyModel::pio_chunks(p))
-                    .max()
-                    .unwrap_or(1)
-            };
+            let max_chunks = axis
+                .iter()
+                .map(|&p| SizedLatencyModel::pio_chunks(p))
+                .max()
+                .unwrap_or(1);
             assert!(
                 c.data >= Tlp::pio_burst(bband_pcie::TlpId(0), max_chunks).data_credits(),
                 "credit config cannot issue the plan's largest MMIO write"
@@ -960,34 +944,23 @@ impl FaultSim {
         }
         let model = EndToEndLatencyModel::from_calibration(cal);
         let retry_timeout = SimDuration::from_ns(plan.retry.timeout_ns);
-        // Resolve every message's payload, protocol, and segment count up
-        // front; the post cadence is the slowest message's fault-free
-        // lifetime, so back-to-back chains never overlap on a clean run.
-        let mut msgs = MSG_SCRATCH.take();
-        msgs.clear();
-        msgs.reserve_exact(messages as usize);
-        let mut per_size: Vec<(u32, SimDuration)> = Vec::new();
-        let mut max_total = SimDuration::ZERO;
-        for m in 0..messages {
-            let payload = plan.payload_for(m);
-            let total = match per_size.iter().find(|&&(p, _)| p == payload) {
-                Some(&(_, t)) => t,
-                None => {
-                    let t = sized.total(payload, plan.rndv_threshold);
-                    per_size.push((payload, t));
-                    t
+        // Resolve each payload of the axis once: protocol, segment count
+        // and fault-free lifetime. The post cadence is the slowest
+        // lifetime among the sizes the run actually sends, so back-to-back
+        // chains never overlap on a clean run.
+        let sizes: Vec<SizeState> = axis
+            .iter()
+            .map(|&payload| {
+                let (protocol, total) = sized.choose(payload, plan.rndv_threshold);
+                SizeState {
+                    payload,
+                    rndv: protocol == Protocol::Rendezvous,
+                    segs: SizedLatencyModel::segments(payload),
+                    total,
                 }
-            };
-            max_total = max_total.max(total);
-            msgs.push(MsgState {
-                payload,
-                rndv: sized.select(payload, plan.rndv_threshold) == Protocol::Rendezvous,
-                segs: SizedLatencyModel::segments(payload),
-                rts_sent: false,
-                dma_clock: SimTime::ZERO,
-                dma_span: trace::SpanId::NONE,
-            });
-        }
+            })
+            .collect();
+        let used = &sizes[..messages.min(sizes.len() as u64) as usize];
         let fc_issue = match plan.credits {
             Some(c) => FlowControl::new(c.hdr, c.data, c.update_batch),
             None => FlowControl::connectx4_default(),
@@ -997,9 +970,9 @@ impl FaultSim {
             None => FlowControl::connectx4_default(),
         };
         let mut queue = EventQueue::new();
-        // For the default 8-byte plan `max_total` is exactly the classic
-        // model total; `max_of` only widens the cadence for larger plans.
-        let post_interval = model.total().max(max_total);
+        // For the default 8-byte plan the slowest lifetime is exactly the
+        // classic model total; larger plans only widen the cadence.
+        let post_interval = used.iter().map(|s| s.total).fold(model.total(), Ord::max);
         // The fast path generates posts lazily from `next_post` — the
         // queue then holds only genuinely pending events, which is both
         // the quiescence test replay needs and a heap that stays
@@ -1026,12 +999,11 @@ impl FaultSim {
             && stall_sched.is_none();
         // Memoized replay admits only uniform-size inline eager plans: a
         // mixed-size or rendezvous plan gets no memo at all, so the fast
-        // path soundly runs the same event loop as `--reference` (the
-        // satellite fix: a chain recorded for one size must never replay
-        // a message of another).
-        let payload0 = plan.payload_for(0);
-        let uniform = (0..messages).all(|m| plan.payload_for(m) == payload0);
-        let eager0 = msgs.first().is_none_or(|s: &MsgState| !s.rndv);
+        // path runs the same event loop as `--reference` and a chain
+        // recorded for one size never replays a message of another.
+        let payload0 = sizes[0].payload;
+        let uniform = used.iter().all(|s| s.payload == payload0);
+        let eager0 = used.first().is_none_or(|s| !s.rndv);
         let memo = if uniform && eager0 {
             ChainMemo::build(cal, payload0, post_interval, retry_timeout)
         } else {
@@ -1057,7 +1029,9 @@ impl FaultSim {
             wire_base: cal.network.wire.base + cal.network.wire.fec,
             wire_per_byte: cal.network.wire.per_byte,
             sized,
-            msgs,
+            sizes,
+            rts_out: Vec::new(),
+            dma: (0, SimTime::ZERO, trace::SpanId::NONE),
             pending_rts: Vec::new(),
             queue,
             ids: TlpIdGen::new(),
@@ -1204,6 +1178,11 @@ impl FaultSim {
         self.psn_launch[i] = span;
     }
 
+    /// Payload, protocol and segment count of message `msg`.
+    fn size_of(&self, msg: u64) -> SizeState {
+        self.sizes[(msg % self.sizes.len() as u64) as usize]
+    }
+
     /// When message `msg` is posted.
     fn post_at(&self, msg: u64) -> SimTime {
         SimTime::ZERO + self.post_interval * msg
@@ -1332,9 +1311,11 @@ impl FaultSim {
             self.queue
                 .push(nic_time + pcie, Ev::UpdateFc { hdr: h, data: d });
         }
-        let st = self.msgs[msg as usize];
-        if st.rndv && !st.rts_sent {
-            self.msgs[msg as usize].rts_sent = true;
+        let st = self.size_of(msg);
+        if let Some(i) = self.rts_out.iter().position(|&m| m == msg) {
+            self.rts_out.swap_remove(i);
+        } else if st.rndv {
+            self.rts_out.push(msg);
             let pkt = Packet::tagged(
                 PacketId(msg),
                 PacketKind::Send,
@@ -1375,7 +1356,7 @@ impl FaultSim {
     /// (DMA-written on arrival, no completion); the final segment carries
     /// [`PacketKind::Send`] and completes the message.
     fn launch_segments(&mut self, msg: u64, t: SimTime, dep: trace::SpanId) {
-        let st = self.msgs[msg as usize];
+        let st = self.size_of(msg);
         let spacing = self.sized.seg_spacing();
         for i in 0..st.segs {
             let kind = if i + 1 == st.segs {
@@ -1405,7 +1386,7 @@ impl FaultSim {
     /// stay disconnected and the DAG critical path is exactly one
     /// message's nine slices.
     fn post(&mut self, msg: u64, t: SimTime) {
-        let st = self.msgs[msg as usize];
+        let st = self.size_of(msg);
         let hlp_done = t + self.hlp_post;
         let h = trace::stage(trace::Layer::Hlp, "HLP_post", t, hlp_done, msg, &[]);
         let (mut cpu_done, mut dep) = (hlp_done, h);
@@ -1468,20 +1449,25 @@ impl FaultSim {
     /// and DMA to memory for every segment; the target CPU reaps the
     /// completion only when the final segment lands.
     fn deliver(&mut self, msg: u64, seg: u32, t: SimTime, dep: trace::SpanId) {
-        let st = self.msgs[msg as usize];
+        let st = self.size_of(msg);
+        if self.dma.0 != msg {
+            debug_assert_eq!(seg, 0, "message {msg} interleaved with {}", self.dma.0);
+            self.dma = (msg, SimTime::ZERO, trace::SpanId::NONE);
+        }
+        let (_, dma_clock, dma_span) = self.dma;
         let seg_payload = SizedLatencyModel::seg_size(st.payload, seg);
         let tlp = Tlp::payload_deliver(self.ids.next(), seg_payload);
         let out = self.rx_chan.traverse(t, tlp, &mut self.counters, dep);
         // Segments of one message serialize on the RC write port; the
         // first (and any single-segment) write starts at PCIe delivery.
-        let dma_start = out.delivered.max_of(st.dma_clock);
+        let dma_start = out.delivered.max_of(dma_clock);
         let in_memory = dma_start + self.sized.rc_to_mem(seg_payload);
         let mem_name = if seg_payload == 8 {
             "RC-to-MEM(8B)"
         } else {
             "RC-to-MEM"
         };
-        let mem = if st.dma_span.is_none() {
+        let mem = if dma_span.is_none() {
             trace::stage(
                 trace::Layer::Memory,
                 mem_name,
@@ -1497,11 +1483,10 @@ impl FaultSim {
                 dma_start,
                 in_memory,
                 msg,
-                &[out.span, st.dma_span],
+                &[out.span, dma_span],
             )
         };
-        self.msgs[msg as usize].dma_clock = in_memory;
-        self.msgs[msg as usize].dma_span = mem;
+        self.dma = (msg, in_memory, mem);
         if seg + 1 < st.segs {
             return;
         }
@@ -2969,6 +2954,18 @@ mod tests {
         assert_eq!(stats.min_ns, sized.total(8, None).as_ns_f64());
         assert_eq!(stats.max_ns, sized.total(4096, None).as_ns_f64());
         assert!(stats.counters.is_clean());
+    }
+
+    /// The post cadence comes only from the sizes a run sends, never
+    /// from a longer-lived later entry of the cycle.
+    #[test]
+    fn post_interval_covers_only_the_sizes_sent() {
+        let sized = SizedLatencyModel::from_calibration(&cal());
+        let mut plan = FaultPlan::none();
+        plan.payload_cycle = vec![8, 1 << 20];
+        let interval = |n| FaultSim::new(&cal(), &plan, n, 1, EnginePath::Fast).post_interval;
+        assert_eq!(interval(1), sized.total(8, None));
+        assert_eq!(interval(2), sized.total(1 << 20, None));
     }
 
     /// The pooled sweep must be bit-identical to a serial one.

@@ -370,33 +370,33 @@ impl SizedLatencyModel {
         self.delivery(payload, data_nic + self.rndv_data_fetch(payload))
     }
 
-    /// Protocol choice: min-cost when `threshold` is `None`, otherwise the
-    /// classic "rendezvous at or above the threshold" rule.
-    pub fn select(&self, payload: u32, threshold: Option<u32>) -> Protocol {
+    /// Protocol choice and its zero-fault latency: min-cost when
+    /// `threshold` is `None` (a tie goes to eager), otherwise the classic
+    /// "rendezvous at or above the threshold" rule. Each candidate
+    /// protocol's cost is evaluated once.
+    pub fn choose(&self, payload: u32, threshold: Option<u32>) -> (Protocol, SimDuration) {
         match threshold {
-            Some(t) => {
-                if payload >= t {
-                    Protocol::Rendezvous
-                } else {
-                    Protocol::Eager
-                }
-            }
+            Some(t) if payload >= t => (Protocol::Rendezvous, self.rndv_total(payload)),
+            Some(_) => (Protocol::Eager, self.eager_total(payload)),
             None => {
-                if self.rndv_total(payload) < self.eager_total(payload) {
-                    Protocol::Rendezvous
+                let (rndv, eager) = (self.rndv_total(payload), self.eager_total(payload));
+                if rndv < eager {
+                    (Protocol::Rendezvous, rndv)
                 } else {
-                    Protocol::Eager
+                    (Protocol::Eager, eager)
                 }
             }
         }
     }
 
+    /// Protocol choice (see [`SizedLatencyModel::choose`]).
+    pub fn select(&self, payload: u32, threshold: Option<u32>) -> Protocol {
+        self.choose(payload, threshold).0
+    }
+
     /// Latency under the selected protocol.
     pub fn total(&self, payload: u32, threshold: Option<u32>) -> SimDuration {
-        match self.select(payload, threshold) {
-            Protocol::Eager => self.eager_total(payload),
-            Protocol::Rendezvous => self.rndv_total(payload),
-        }
+        self.choose(payload, threshold).1
     }
 
     /// Smallest payload at which min-cost selection switches to rendezvous.
@@ -560,6 +560,31 @@ mod tests {
             1,
             "non-inline: pointer only"
         );
+    }
+
+    /// `total` evaluates each protocol once; it must stay bit-equal to
+    /// selecting first and then evaluating the winner, at every size the
+    /// size sweep runs, under min-cost selection and under thresholds
+    /// below, at and above the payload.
+    #[test]
+    fn total_equals_select_then_evaluate_at_every_sweep_size() {
+        let m = sized();
+        for payload in crate::tracepath::DEFAULT_SIZE_GRID {
+            let min_cost = if m.rndv_total(payload) < m.eager_total(payload) {
+                m.rndv_total(payload)
+            } else {
+                m.eager_total(payload)
+            };
+            assert_eq!(m.total(payload, None), min_cost, "{payload} B, min-cost");
+            for t in [1, payload, payload + 1, m.crossover()] {
+                let old = if payload >= t {
+                    m.rndv_total(payload)
+                } else {
+                    m.eager_total(payload)
+                };
+                assert_eq!(m.total(payload, Some(t)), old, "{payload} B, threshold {t}");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,9 @@
 use breaking_band::fabric::{
     LossyFabric, NodeId, Packet, PacketId, PacketKind, Psn, RcReceiver, RcSender, RcVerdict,
 };
+use breaking_band::models::calibration::Calibration;
+use breaking_band::models::fault::{run_e2e_under_faults_on, EnginePath, FaultPlan};
+use breaking_band::models::latency::SizedLatencyModel;
 use breaking_band::pcie::{DllReceiver, LossyLink, ReplayBuffer, RxVerdict, Tlp, TlpIdGen};
 use breaking_band::sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -145,5 +148,44 @@ proptest! {
             }
         }
         prop_assert!(delivered.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// The fault engine's fast path equals its reference event loop over
+    /// random payload axes: cycles of eager and rendezvous sizes with
+    /// repeats (or a single size), min-cost or threshold selection, with
+    /// and without loss, and runs shorter than the cycle. The engine's
+    /// per-size set-up and its one RC-to-MEM cursor for the message in
+    /// flight must hold on every one; debug builds also check that one
+    /// message's segments never land interleaved with another's.
+    #[test]
+    fn fault_engine_paths_agree_over_random_payload_axes(
+        cycle in proptest::collection::vec(0usize..5, 0..7),
+        single in 0usize..5,
+        threshold_sel in any::<bool>(),
+        threshold_log2 in 0u32..22,
+        lossy in any::<bool>(),
+        messages in 1u64..41,
+        seed in any::<u64>(),
+    ) {
+        const SIZES: [u32; 5] = [8, 256, 4096, 65_536, 1 << 20];
+        let mut plan = FaultPlan::none();
+        plan.payload_bytes = SIZES[single];
+        plan.payload_cycle = cycle.iter().map(|&i| SIZES[i]).collect();
+        plan.rndv_threshold = threshold_sel.then_some(1 << threshold_log2);
+        plan.loss_probability = if lossy { 1e-2 } else { 0.0 };
+        let c = Calibration::default();
+        let fast = run_e2e_under_faults_on(EnginePath::Fast, &c, &plan, messages, seed);
+        let reference = run_e2e_under_faults_on(EnginePath::Reference, &c, &plan, messages, seed);
+        prop_assert_eq!(&fast, &reference, "{:?}, {} messages, seed {}", plan, messages, seed);
+        if !lossy {
+            // Fault-free, every message takes its own size's model lifetime.
+            let sized = SizedLatencyModel::from_calibration(&c);
+            let totals: Vec<f64> = (0..messages)
+                .map(|m| sized.total(plan.payload_for(m), plan.rndv_threshold).as_ns_f64())
+                .collect();
+            let stats = fast.expect("a fault-free run completes");
+            prop_assert_eq!(stats.min_ns, totals.iter().copied().fold(f64::INFINITY, f64::min));
+            prop_assert_eq!(stats.max_ns, totals.iter().copied().fold(0.0, f64::max));
+        }
     }
 }
